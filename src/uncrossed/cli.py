@@ -24,7 +24,15 @@ from .errors import (
     SearchBudgetError,
 )
 from .graphs import parse_edge_list, serialize_edge_list
-from .oracle import SearchLimits, exact_h, exact_unc, verify_certificate
+from .oracle import (
+    DEFAULT_LIMITS,
+    DEFAULT_UNC_LIMITS,
+    SearchLimits,
+    exact_h,
+    exact_unc,
+    verify_certificate,
+)
+from .render import render_json, render_record
 
 DEFAULT_EPSILONS = "3/20,1/5,1/4,3/10,7/20,2/5,9/20"
 DEFAULT_NS = "20,40,80"
@@ -85,8 +93,6 @@ def cmd_construct(args) -> int:
     (out / "record.json").write_text(json.dumps(rec.to_json_dict(), indent=2) + "\n")
     (out / "graph.edgelist").write_text(serialize_edge_list(rec.graph))
     if args.svg:
-        from .render import render_record
-
         (out / "drawing.svg").write_text(render_record(rec))
     print(
         f"n={rec.n} x={rec.x} m={rec.stats.m} m_prime={rec.stats.m_prime} "
@@ -200,8 +206,6 @@ def cmd_compare_bounds(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .render import render_json  # defers the numpy import
-
     data = json.loads(Path(args.infile).read_text())
     svg = render_json(data)
     Path(args.out).write_text(svg)
@@ -230,11 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_construct)
 
-    for name, fn, default_max_n in (("oracle-h", cmd_oracle_h, 8), ("oracle-unc", cmd_oracle_unc, 6)):
+    for name, fn, limits in (
+        ("oracle-h", cmd_oracle_h, DEFAULT_LIMITS),
+        ("oracle-unc", cmd_oracle_unc, DEFAULT_UNC_LIMITS),
+    ):
         p = sub.add_parser(name, help=f"exact search ({name})")
         p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--max-n", dest="max_n", type=int, default=default_max_n)
-        p.add_argument("--budget", type=int, default=10_000_000)
+        p.add_argument("--max-n", dest="max_n", type=int, default=limits.max_n)
+        p.add_argument("--budget", type=int, default=limits.max_rotation_budget)
         p.add_argument("--time-budget", dest="time_budget", type=float, default=None)
         p.add_argument("--out", help="also write the result JSON here")
         p.set_defaults(func=fn)

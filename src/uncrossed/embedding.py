@@ -151,27 +151,122 @@ def rotation_count(g: Graph) -> int:
     return total
 
 
-def enumerate_rotation_systems(g: Graph, budget: int = ROTATION_BUDGET_DEFAULT):
-    """Yield every rotation system of g exactly once, lexicographically.
-
-    The first neighbor of each vertex's cyclic order is pinned to quotient
-    out cyclic rotations.  Raises SearchBudgetError when the count
-    prod_v (deg(v)-1)! exceeds the budget.
+def _pinned_arrangements(g: Graph, budget: int) -> list[list[tuple[int, ...]]]:
+    """Per vertex, every cyclic order of its neighbors that starts at the
+    smallest one, in lexicographic order.  Pinning the first neighbor
+    quotients out cyclic rotations.  Raises SearchBudgetError when the
+    rotation systems they combine into number more than the budget.
     """
-    if not g.is_connected():
-        raise ValueError("rotation enumeration expects a connected graph")
     total = rotation_count(g)
     if total > budget:
         raise SearchBudgetError(
             f"{total} rotation systems exceed the budget of {budget}"
         )
-    adj = g.adjacency()
-    per_vertex = []
-    for a in adj:
-        if len(a) <= 1:
-            per_vertex.append([tuple(a)])
-        else:
-            head = a[0]
-            per_vertex.append([(head,) + rest for rest in itertools.permutations(a[1:])])
-    for combo in itertools.product(*per_vertex):
+    return [
+        [tuple(a[:1]) + rest for rest in itertools.permutations(a[1:])]
+        for a in g.adjacency()
+    ]
+
+
+def enumerate_rotation_systems(g: Graph, budget: int = ROTATION_BUDGET_DEFAULT):
+    """Yield every rotation system of g exactly once, lexicographically.
+
+    This is the brute-force reference for first_planar_rotation.  Raises
+    SearchBudgetError when the count prod_v (deg(v)-1)! exceeds the budget.
+    """
+    if not g.is_connected():
+        raise ValueError("rotation enumeration expects a connected graph")
+    for combo in itertools.product(*_pinned_arrangements(g, budget)):
         yield RotationSystem(g, combo)
+
+
+def first_planar_rotation(
+    n: int, edges, cofacial_pairs, budget: int
+) -> tuple[tuple[int, ...], ...] | None:
+    """Cyclic orders of the first genus-0 rotation system of the connected
+    spanning graph (0..n-1, edges) that puts the two vertices of every
+    given pair on a common face, or None when there is none.
+
+    Systems are scanned in the order of enumerate_rotation_systems, under
+    the same budget.  The hot path: systems are visited with an odometer
+    so only changed vertices are reapplied, and faces are counted as
+    cycles of the next-dart permutation.
+    """
+    g = Graph(n, edges)
+    arrangements = _pinned_arrangements(g, budget)
+    darts = sorted(d for u, v in g.edges for d in ((u, v), (v, u)))
+    idx = {d: i for i, d in enumerate(darts)}
+    nd = len(darts)
+    target_f = 2 - n + g.m  # face count of a genus-0 embedding
+    no_dart_f = 0 if nd else 1  # a lone vertex spans one face, as in genus()
+
+    # per-vertex arrangements with precomputed next-dart contributions
+    contribs = [
+        [
+            (order, tuple(
+                (idx[(order[i], v)], idx[(v, order[(i + 1) % len(order)])])
+                for i in range(len(order))
+            ))
+            for order in arrs
+        ]
+        for v, arrs in enumerate(arrangements)
+    ]
+
+    nxt = [0] * nd
+    pos = [0] * n
+    for v in range(n):
+        for s, t in contribs[v][0][1]:
+            nxt[s] = t
+    varying = [v for v in range(n) if len(contribs[v]) > 1]
+    seen = [0] * nd
+    stamp = 0
+    dart_range = range(nd)
+
+    while True:
+        stamp += 1
+        f = no_dart_f
+        for d0 in dart_range:
+            if seen[d0] == stamp:
+                continue
+            f += 1
+            w = d0
+            while seen[w] != stamp:
+                seen[w] = stamp
+                w = nxt[w]
+        if f == target_f:
+            ok = True
+            if cofacial_pairs:
+                stamp += 1
+                face_verts = []
+                for d0 in dart_range:
+                    if seen[d0] == stamp:
+                        continue
+                    verts = set()
+                    w = d0
+                    while seen[w] != stamp:
+                        seen[w] = stamp
+                        verts.add(darts[w][0])
+                        w = nxt[w]
+                    face_verts.append(verts)
+                for u, v in cofacial_pairs:
+                    if not any(u in fv and v in fv for fv in face_verts):
+                        ok = False
+                        break
+            if ok:
+                return tuple(contribs[v][pos[v]][0] for v in range(n))
+        # odometer: advance the last vertex that has not wrapped
+        i = len(varying) - 1
+        while i >= 0:
+            v = varying[i]
+            p = pos[v] + 1
+            if p < len(contribs[v]):
+                pos[v] = p
+                for s, t in contribs[v][p][1]:
+                    nxt[s] = t
+                break
+            pos[v] = 0
+            for s, t in contribs[v][0][1]:
+                nxt[s] = t
+            i -= 1
+        else:
+            return None

@@ -64,18 +64,28 @@ class Graph:
         return _normalize_edge(u, v) in set(self.edges)
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return connected_spanning(self.n, self.edges)
+
+
+def connected_spanning(n: int, edges) -> bool:
+    """True iff the edges join all of the vertices 0..n-1 into one component."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = n
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            components -= 1
+            if components == 1:  # spanning already; skip the remaining edges
+                return True
+    return components == 1
 
 
 @dataclass(frozen=True)

@@ -19,21 +19,24 @@ them.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 
-from .embedding import RotationSystem, trace_faces, genus
+from .embedding import (
+    ROTATION_BUDGET_DEFAULT,
+    RotationSystem,
+    first_planar_rotation,
+    genus,
+    trace_faces,
+)
 from .errors import MalformedCertificateError, SearchBudgetError
-from .graphs import Edge, Graph
-
-_FACT = [math.factorial(i) for i in range(64)]
+from .graphs import Edge, Graph, connected_spanning
 
 
 @dataclass(frozen=True)
 class SearchLimits:
     max_n: int = 8
-    max_rotation_budget: int = 10_000_000
+    max_rotation_budget: int = ROTATION_BUDGET_DEFAULT
     time_budget: float | None = None  # seconds
 
     def __post_init__(self):
@@ -102,7 +105,7 @@ def verify_certificate(cert: SubdrawingCertificate) -> bool:
         if not isinstance(idx, int) or not 0 <= idx < faces.f:
             raise MalformedCertificateError(f"dangling face index {idx} for edge {e}")
 
-    if not cert.rotation.graph.is_connected():  # connected and spanning
+    if not connected_spanning(g.n, hset):
         return False
     if genus(cert.rotation) != 0:
         return False
@@ -115,24 +118,6 @@ def verify_certificate(cert: SubdrawingCertificate) -> bool:
     return True
 
 
-def _connected_spanning(n: int, edges) -> bool:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps == 1
-
-
 class _Deadline:
     def __init__(self, seconds: float | None):
         self.at = time.monotonic() + seconds if seconds else None
@@ -140,115 +125,6 @@ class _Deadline:
     def check(self):
         if self.at is not None and time.monotonic() > self.at:
             raise SearchBudgetError("time budget exceeded")
-
-
-def _scan_embeddings(n: int, hedges: tuple[Edge, ...], missing, budget: int):
-    """First genus-0 rotation system of (V, hedges) with all missing
-    pairs co-facial, scanning systems in lexicographic order.
-
-    Returns the per-vertex cyclic orders, or None.  The hot path: systems
-    are visited with an odometer so only changed vertices are reapplied,
-    and faces are counted as cycles of the next-dart permutation.
-    """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in hedges:
-        adj[u].append(v)
-        adj[v].append(u)
-    total = 1
-    for a in adj:
-        a.sort()
-        total *= _FACT[max(len(a) - 1, 0)]
-    if total > budget:
-        raise SearchBudgetError(f"{total} rotation systems exceed the budget of {budget}")
-
-    darts = sorted(d for u, v in hedges for d in ((u, v), (v, u)))
-    idx = {d: i for i, d in enumerate(darts)}
-    nd = len(darts)
-    target_f = 2 - n + len(hedges)  # face count of a genus-0 embedding
-
-    # per-vertex arrangements with precomputed next-dart contributions
-    contribs: list[list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]] = []
-    for v in range(n):
-        a = adj[v]
-        arrs = []
-        if len(a) <= 1:
-            pairs = ((idx[(a[0], v)], idx[(v, a[0])]),) if a else ()
-            arrs.append((tuple(a), pairs))
-        else:
-            head, rest = a[0], a[1:]
-            for perm in itertools.permutations(rest):
-                order = (head,) + perm
-                d = len(order)
-                pairs = tuple(
-                    (idx[(order[i], v)], idx[(v, order[(i + 1) % d])]) for i in range(d)
-                )
-                arrs.append((order, pairs))
-        contribs.append(arrs)
-
-    nxt = [0] * nd
-    pos = [0] * n
-    for v in range(n):
-        for s, t in contribs[v][0][1]:
-            nxt[s] = t
-    varying = [v for v in range(n) if len(contribs[v]) > 1]
-    seen = [0] * nd
-    stamp = 0
-    dart_range = range(nd)
-
-    while True:
-        stamp += 1
-        f = 0
-        for d0 in dart_range:
-            if seen[d0] == stamp:
-                continue
-            f += 1
-            w = d0
-            while seen[w] != stamp:
-                seen[w] = stamp
-                w = nxt[w]
-        if f == target_f:
-            ok = True
-            if missing:
-                stamp += 1
-                face_verts = []
-                for d0 in dart_range:
-                    if seen[d0] == stamp:
-                        continue
-                    verts = set()
-                    w = d0
-                    while seen[w] != stamp:
-                        seen[w] = stamp
-                        verts.add(darts[w][0])
-                        w = nxt[w]
-                    face_verts.append(verts)
-                for u, v in missing:
-                    if not any(u in fv and v in fv for fv in face_verts):
-                        ok = False
-                        break
-            if ok:
-                return tuple(contribs[v][pos[v]][0] for v in range(n))
-        # odometer: advance the last vertex that has not wrapped
-        i = len(varying) - 1
-        while i >= 0:
-            v = varying[i]
-            p = pos[v] + 1
-            if p < len(contribs[v]):
-                pos[v] = p
-                for s, t in contribs[v][p][1]:
-                    nxt[s] = t
-                break
-            pos[v] = 0
-            for s, t in contribs[v][0][1]:
-                nxt[s] = t
-            i -= 1
-        else:
-            return None
-
-
-def _trivial_certificate(g: Graph) -> SubdrawingCertificate:
-    return SubdrawingCertificate(
-        g, g.edges, RotationSystem(g, tuple(tuple(a) for a in g.adjacency())), {}
-    )
 
 
 def _build_certificate(g: Graph, hedges: tuple[Edge, ...], orders) -> SubdrawingCertificate:
@@ -271,14 +147,13 @@ def feasible(
     if not g.is_connected():
         raise ValueError("feasibility search expects a connected graph")
     hedges = tuple(sorted(subset))
-    if not set(hedges) <= set(g.edges):
+    hset = set(hedges)
+    if not hset <= set(g.edges):
         raise ValueError("subset contains an edge not in the graph")
-    if g.n == 1:
-        return _trivial_certificate(g)
-    if not _connected_spanning(g.n, hedges):
+    if not connected_spanning(g.n, hedges):
         return None
-    missing = tuple(sorted(set(g.edges) - set(hedges)))
-    orders = _scan_embeddings(g.n, hedges, missing, limits.max_rotation_budget)
+    crossed = tuple(e for e in g.edges if e not in hset)
+    orders = first_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget)
     if orders is None:
         return None
     return _build_certificate(g, hedges, orders)
@@ -288,70 +163,55 @@ def _size_cap(g: Graph) -> int:
     return g.m if g.n < 3 else min(g.m, 3 * g.n - 6)
 
 
+def _maximal_feasible(g: Graph, limits: SearchLimits):
+    """Yield (edges, rotation orders) for every inclusion-maximal feasible
+    set, largest first and lexicographically within a size.
+
+    Scanning sizes downward makes maximality checks local: a candidate
+    is maximal iff it is feasible and not contained in a set already
+    found (subsets of feasible sets stay feasible, so they are skipped
+    without any embedding work).  A spanning tree is always feasible, so
+    the walk yields at least one set.
+    """
+    if not g.is_connected():
+        raise ValueError("oracle search expects a connected graph")
+    if g.n > limits.max_n:
+        raise SearchBudgetError(f"n={g.n} exceeds max_n={limits.max_n}")
+    deadline = _Deadline(limits.time_budget)
+    found: list[frozenset] = []
+    for size in range(_size_cap(g), g.n - 2, -1):
+        for hedges in itertools.combinations(g.edges, size):
+            deadline.check()
+            hset = frozenset(hedges)
+            if any(hset <= f for f in found):
+                continue
+            if not connected_spanning(g.n, hedges):
+                continue
+            crossed = tuple(e for e in g.edges if e not in hset)
+            orders = first_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget)
+            if orders is not None:
+                found.append(hset)
+                yield hedges, orders
+
+
 def exact_h(
     g: Graph, limits: SearchLimits = DEFAULT_LIMITS
 ) -> tuple[int, SubdrawingCertificate]:
     """Maximum feasible-set size with a verifying witness.
 
-    Candidate subsets are scanned by decreasing size, lexicographically
-    within a size, so the returned witness is deterministic.  A spanning
-    tree is always feasible, hence the search terminates at size n-1 at
-    the latest.
+    The witness is the first set of the size-descending walk, so it is
+    deterministic.
     """
-    if not g.is_connected():
-        raise ValueError("h search expects a connected graph")
-    if g.n > limits.max_n:
-        raise SearchBudgetError(f"n={g.n} exceeds max_n={limits.max_n}")
-    if g.n == 1:
-        return 0, _trivial_certificate(g)
-    deadline = _Deadline(limits.time_budget)
-    missing_all = set(g.edges)
-    for size in range(_size_cap(g), g.n - 2, -1):
-        for hedges in itertools.combinations(g.edges, size):
-            deadline.check()
-            if not _connected_spanning(g.n, hedges):
-                continue
-            missing = tuple(sorted(missing_all - set(hedges)))
-            orders = _scan_embeddings(g.n, hedges, missing, limits.max_rotation_budget)
-            if orders is not None:
-                return size, _build_certificate(g, hedges, orders)
+    for hedges, orders in _maximal_feasible(g, limits):
+        return len(hedges), _build_certificate(g, hedges, orders)
     raise AssertionError("unreachable: a spanning tree is always feasible")
 
 
 def maximal_feasible_sets(
     g: Graph, limits: SearchLimits = DEFAULT_UNC_LIMITS
 ) -> tuple[tuple[Edge, ...], ...]:
-    """All inclusion-maximal feasible edge sets, largest first.
-
-    Scanning sizes downward makes maximality checks local: a candidate
-    is maximal iff it is feasible and not contained in a set already
-    found (subsets of feasible sets stay feasible, so they are skipped
-    without any embedding work).
-    """
-    if not g.is_connected():
-        raise ValueError("expects a connected graph")
-    if g.n > limits.max_n:
-        raise SearchBudgetError(f"n={g.n} exceeds max_n={limits.max_n}")
-    if g.n == 1 or g.m == 0:
-        return (g.edges,)
-    deadline = _Deadline(limits.time_budget)
-    found: list[frozenset] = []
-    result: list[tuple[Edge, ...]] = []
-    missing_all = set(g.edges)
-    for size in range(_size_cap(g), g.n - 2, -1):
-        for hedges in itertools.combinations(g.edges, size):
-            deadline.check()
-            hset = frozenset(hedges)
-            if any(hset <= m for m in found):
-                continue
-            if not _connected_spanning(g.n, hedges):
-                continue
-            missing = tuple(sorted(missing_all - hset))
-            orders = _scan_embeddings(g.n, hedges, missing, limits.max_rotation_budget)
-            if orders is not None:
-                found.append(hset)
-                result.append(hedges)
-    return tuple(result)
+    """All inclusion-maximal feasible edge sets, largest first."""
+    return tuple(hedges for hedges, _ in _maximal_feasible(g, limits))
 
 
 def _find_cover(masks: list[int], full: int, k: int) -> list[int] | None:
@@ -381,22 +241,16 @@ def exact_unc(
     g: Graph, limits: SearchLimits = DEFAULT_UNC_LIMITS
 ) -> tuple[int, list[SubdrawingCertificate]]:
     """Minimum number of feasible sets covering all edges, with witnesses."""
-    if not g.is_connected():
-        raise ValueError("unc search expects a connected graph")
-    if g.n > limits.max_n:
-        raise SearchBudgetError(f"n={g.n} exceeds max_n={limits.max_n}")
-    if g.m == 0:
-        return 1, [_trivial_certificate(g)]
-    sets = maximal_feasible_sets(g, limits)
-    h = max(len(s) for s in sets)
+    sets = list(_maximal_feasible(g, limits))
+    if g.m == 0:  # nothing to cover, but one drawing still shows the vertex
+        return 1, [_build_certificate(g, *sets[0])]
+    h = len(sets[0][0])
     edge_index = {e: i for i, e in enumerate(g.edges)}
-    masks = [sum(1 << edge_index[e] for e in s) for s in sets]
+    masks = [sum(1 << edge_index[e] for e in hedges) for hedges, _ in sets]
     full = (1 << g.m) - 1
     lower = max(1, -(-g.m // h))
     for k in range(lower, len(sets) + 1):
         picked = _find_cover(masks, full, k)
         if picked is not None:
-            certs = [feasible(g, sets[i], limits) for i in picked]
-            assert all(c is not None for c in certs)
-            return k, certs
+            return k, [_build_certificate(g, *sets[i]) for i in picked]
     raise AssertionError("unreachable: the union of maximal sets covers E")

@@ -10,8 +10,7 @@ the convex outer face.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from fractions import Fraction
 
 from .construction import ConstructionRecord
 from .embedding import trace_faces
@@ -24,10 +23,33 @@ def _fmt(value: float) -> str:
     return "0.0000" if out == "-0.0000" else out
 
 
+def _solve(a: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact Gauss-Jordan elimination of a x = rhs, one rhs column per axis.
+
+    a is a graph Laplacian with the pinned rows and columns removed, which
+    is positive definite when every free vertex has a path to a pinned one.
+    So no pivot is zero unless a is singular, and no row swaps are needed.
+    """
+    k = len(a)
+    rows = [a[i] + rhs[i] for i in range(k)]
+    for c in range(k):
+        pivot = rows[c][c]
+        if pivot == 0:
+            raise ValueError("the uncrossed edges do not connect the drawing")
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(k):
+            factor = rows[r][c]
+            if r != c and factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return [row[k:] for row in rows]
+
+
 def barycentric_layout(cert: SubdrawingCertificate) -> list[tuple[float, float]]:
     """Pin the first traced face on a circle, average the rest into place."""
     rotation = cert.rotation
     n = rotation.graph.n
+    if rotation.graph.m == 0:  # no faces to trace: a lone vertex sits at the centre
+        return [(0.0, 0.0)] * n
     faces = trace_faces(rotation)
     outer_walk = faces.faces[0].walk
     outer: list[int] = []
@@ -42,22 +64,19 @@ def barycentric_layout(cert: SubdrawingCertificate) -> list[tuple[float, float]]
     if interior:
         adj = rotation.graph.adjacency()
         index = {v: i for i, v in enumerate(interior)}
-        a = np.zeros((len(interior), len(interior)))
-        bx = np.zeros(len(interior))
-        by = np.zeros(len(interior))
+        a = [[Fraction(0)] * len(interior) for _ in interior]
+        rhs = [[Fraction(0), Fraction(0)] for _ in interior]
         for v in interior:
             i = index[v]
-            a[i, i] = len(adj[v])
+            a[i][i] = Fraction(len(adj[v]))
             for w in adj[v]:
                 if w in index:
-                    a[i, index[w]] -= 1.0
+                    a[i][index[w]] -= 1
                 else:
-                    bx[i] += coords[w][0]
-                    by[i] += coords[w][1]
-        xs = np.linalg.solve(a, bx)
-        ys = np.linalg.solve(a, by)
-        for v in interior:
-            coords[v] = (float(xs[index[v]]), float(ys[index[v]]))
+                    rhs[i][0] += Fraction(coords[w][0])
+                    rhs[i][1] += Fraction(coords[w][1])
+        for v, (x, y) in zip(interior, _solve(a, rhs)):
+            coords[v] = (float(x), float(y))
     return coords
 
 

@@ -176,6 +176,19 @@ def test_render_certificate(capsys, tmp_path):
     assert svg.read_text().count("<line") == 6  # all K_4 edges solid
 
 
+def test_render_single_vertex(capsys, tmp_path):
+    # a lone vertex has no faces to trace; it is drawn as one circle
+    path = tmp_path / "g"
+    path.write_text("1 0\n")
+    result = tmp_path / "r.json"
+    assert main(["oracle-h", "--in", str(path), "--out", str(result)]) == 0
+    capsys.readouterr()
+    svg = tmp_path / "r.svg"
+    assert main(["render", "--in", str(result), "--out", str(svg)]) == 0
+    text = svg.read_text()
+    assert text.count("<circle") == 1 and "<line" not in text
+
+
 def test_subprocess_round_trip(tmp_path):
     # drive the real interpreter end to end: construct, render, re-verify
     outdir = tmp_path / "rec"

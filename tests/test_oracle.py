@@ -1,10 +1,23 @@
+import itertools
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+from corpus_util import small_connected_corpus
 
 from uncrossed.bounds import h_upper
 from uncrossed.construction import build_construction
 from uncrossed.graphs import make_random_gnm
-from uncrossed.embedding import RotationSystem, trace_faces
+from uncrossed.embedding import (
+    RotationSystem,
+    cofacial,
+    enumerate_rotation_systems,
+    genus,
+    trace_faces,
+)
 from uncrossed.errors import MalformedCertificateError, SearchBudgetError
 from uncrossed.graphs import Graph, make_complete, make_complete_bipartite, make_wheel
 from uncrossed.oracle import (
@@ -207,6 +220,39 @@ def test_single_vertex_and_edge():
     assert exact_h(Graph(2, ((0, 1),)))[0] == 1
     value, cover = exact_unc(single)
     assert value == 1 and verify_certificate(cover[0])
+    h, witness = exact_h(single)
+    assert h == 0 and witness.rotation.order == ((),) and verify_certificate(witness)
+    cert = feasible(single, ())
+    assert cert is not None and cert.rotation.order == ((),)
+    assert maximal_feasible_sets(single) == ((),)
+
+
+def test_feasible_matches_brute_force_reference():
+    # every connected spanning subset H of every connected graph with
+    # n <= 5: feasible() finds a witness exactly when a plain scan of
+    # enumerate_rotation_systems does, and it is the scan's first hit
+    subsets = systems = 0
+    for g in small_connected_corpus(5):
+        for size in range(g.n - 1, g.m + 1):
+            for hedges in itertools.combinations(g.edges, size):
+                h = Graph(g.n, hedges)
+                if not h.is_connected():
+                    continue
+                subsets += 1
+                crossed = [e for e in g.edges if e not in hedges]
+                reference = None
+                for r in enumerate_rotation_systems(h):
+                    systems += 1
+                    faces = trace_faces(r)
+                    if genus(r) == 0 and all(cofacial(faces, u, v) for u, v in crossed):
+                        reference = r
+                        break
+                cert = feasible(g, hedges)
+                if reference is None:
+                    assert cert is None, (g, hedges)
+                else:
+                    assert cert is not None and cert.rotation == reference, (g, hedges)
+    assert (subsets, systems) == (1661, 26534)
 
 
 def test_certificate_json_round_trip():

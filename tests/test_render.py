@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -39,3 +41,20 @@ def test_render_cover_panels():
 def test_render_json_requires_drawing():
     with pytest.raises(ValueError):
         render_json({"kind": "mystery"})
+
+
+def test_render_rejects_disconnected_certificate():
+    # vertex 3 has no uncrossed edge, so the layout system is singular
+    payload = {"n": 4, "uncrossed": [[0, 1], [0, 2], [1, 2]],
+               "rotation": [[1, 2], [0, 2], [0, 1], []], "assignment": {}}
+    with pytest.raises(ValueError):
+        render_json(payload)
+
+
+def test_render_imports_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, uncrossed.cli, uncrossed.render; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
