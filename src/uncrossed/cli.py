@@ -8,6 +8,7 @@ identical flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -212,7 +213,13 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged.
+
+    Subcommand `x-y` runs `cmd_x_y`, looked up by main() on each call, so
+    the cached parser holds no handler and a replaced handler takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="uncrossed",
         description="Bounds, tight constructions and exact search for "
@@ -225,51 +232,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triangle-free-check", action="store_true")
     p.add_argument("--csv", help="also write the CSV table here")
     p.add_argument("--json", help="also write full JSON reports here")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("construct", help="build the density-targeted tight construction")
     p.add_argument("--epsilon", required=True, help="density target, e.g. 3/10")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--svg", action="store_true")
-    p.set_defaults(func=cmd_construct)
 
-    for name, fn, limits in (
-        ("oracle-h", cmd_oracle_h, DEFAULT_LIMITS),
-        ("oracle-unc", cmd_oracle_unc, DEFAULT_UNC_LIMITS),
-    ):
+    for name, limits in (("oracle-h", DEFAULT_LIMITS), ("oracle-unc", DEFAULT_UNC_LIMITS)):
         p = sub.add_parser(name, help=f"exact search ({name})")
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--max-n", dest="max_n", type=int, default=limits.max_n)
         p.add_argument("--budget", type=int, default=limits.max_rotation_budget)
         p.add_argument("--time-budget", dest="time_budget", type=float, default=None)
         p.add_argument("--out", help="also write the result JSON here")
-        p.set_defaults(func=fn)
 
     p = sub.add_parser("verify-tightness", help="sweep the construction and check tightness")
     p.add_argument("--epsilons", default=DEFAULT_EPSILONS)
     p.add_argument("--ns", default=DEFAULT_NS)
     p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=cmd_verify_tightness)
 
     p = sub.add_parser("compare-bounds", help="tabulate lower bounds across densities")
     p.add_argument("--ns", default="1000,10000")
     p.add_argument("--epsilons", default="1/10,1/5,3/10,2/5")
     p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=cmd_compare_bounds)
 
     p = sub.add_parser("render", help="render a record or certificate JSON as SVG")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_render)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (ParseError, NotApplicableError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

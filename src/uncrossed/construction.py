@@ -10,6 +10,7 @@ closed-form upper bound up to low-order terms.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -134,28 +135,31 @@ def build_construction(
     uncrossed += [(i, i + 1) for i in range(1, x)]
     uncrossed.append((1, x))
 
-    # oriented interior triangles of the wheel drawing, via one trace
+    # oriented interior triangles of the wheel drawing, via one trace, in a
+    # heap keyed by their sorted vertex triples (distinct, so no ties)
     wheel = Graph.from_edges(x + 1, uncrossed)
     faces = trace_faces(RotationSystem(wheel, tuple(tuple(o) for o in orders[: x + 1])))
     rim = set(range(1, x + 1))
-    triangles: list[tuple[int, int, int]] = []
+    triangles: list[tuple[tuple[int, int, int], tuple[int, int, int]]] = []
     for face in faces.faces:
         if face.vertices <= rim:
             continue  # the rim-only face is the outer one
         assert len(face) == 3
-        triangles.append(tuple(u for u, _ in face.walk))
+        tri = tuple(u for u, _ in face.walk)
+        triangles.append((tuple(sorted(tri)), tri))
     assert len(triangles) == x
+    heapq.heapify(triangles)
 
     hosts: list[tuple[int, int, int, int]] = []
     for w in range(x + 1, n):
-        a, b, c = min(triangles, key=lambda tri: tuple(sorted(tri)))
-        triangles.remove((a, b, c))
+        _, (a, b, c) = heapq.heappop(triangles)
         # wedge insertions keep the embedding planar: w lands inside (a,b,c)
         orders[a].insert(orders[a].index(c) + 1, w)
         orders[b].insert(orders[b].index(a) + 1, w)
         orders[c].insert(orders[c].index(b) + 1, w)
         orders[w] = [a, c, b]
-        triangles += [(a, b, w), (b, c, w), (c, a, w)]
+        for tri in ((a, b, w), (b, c, w), (c, a, w)):
+            heapq.heappush(triangles, (tuple(sorted(tri)), tri))
         uncrossed += [(a, w), (b, w), (c, w)]
         hosts.append((w, a, b, c))
 

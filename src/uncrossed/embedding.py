@@ -187,21 +187,29 @@ def first_planar_rotation(
     spanning graph (0..n-1, edges) that puts the two vertices of every
     given pair on a common face, or None when there is none.
 
-    Systems are scanned in the order of enumerate_rotation_systems, under
-    the same budget.  The hot path: systems are visited with an odometer
-    so only changed vertices are reapplied, and faces are counted as
-    cycles of the next-dart permutation.
+    The answer is the first hit in the order of enumerate_rotation_systems,
+    under the same budget, which counts the systems before pruning.  The
+    search is a depth-first walk that fixes vertices 0..n-1 in turn, each
+    through its arrangements in lexicographic order.  Fixing a vertex links
+    every dart into it to its successor dart; the linked darts form open
+    chains, and a chain linked back to its own first dart closes a face.
+    With m >= 2 every face of a connected simple graph has length >= 3 and
+    every face still open is a union of open chains, so a branch is cut
+    once closed faces + open chains of length >= 3 + (darts in shorter open
+    chains) // 3 falls below the 2 - n + m faces of a genus-0 embedding.
+    Only branches without a genus-0 completion are cut.  Pairs are checked
+    on the faces of each genus-0 leaf.
     """
     g = Graph(n, edges)
     arrangements = _pinned_arrangements(g, budget)
     darts = sorted(d for u, v in g.edges for d in ((u, v), (v, u)))
     idx = {d: i for i, d in enumerate(darts)}
     nd = len(darts)
-    target_f = 2 - n + g.m  # face count of a genus-0 embedding
-    no_dart_f = 0 if nd else 1  # a lone vertex spans one face, as in genus()
-
-    # per-vertex arrangements with precomputed next-dart contributions
-    contribs = [
+    # faces shorter than 3 need m <= 1, whose one rotation system is
+    # planar, so nothing is cut there
+    target_f = 2 - n + g.m if g.m >= 2 else 0
+    # per vertex and arrangement, the (dart into v, next dart) links it sets
+    links = [
         [
             (order, tuple(
                 (idx[(order[i], v)], idx[(v, order[(i + 1) % len(order)])])
@@ -211,62 +219,68 @@ def first_planar_rotation(
         ]
         for v, arrs in enumerate(arrangements)
     ]
-
     nxt = [0] * nd
-    pos = [0] * n
-    for v in range(n):
-        for s, t in contribs[v][0][1]:
-            nxt[s] = t
-    varying = [v for v in range(n) if len(contribs[v]) > 1]
-    seen = [0] * nd
-    stamp = 0
-    dart_range = range(nd)
+    chosen: list[tuple[int, ...]] = [()] * n
 
-    while True:
-        stamp += 1
-        f = no_dart_f
-        for d0 in dart_range:
-            if seen[d0] == stamp:
+    def pairs_cofacial() -> bool:
+        if not cofacial_pairs:
+            return True
+        seen = [False] * nd
+        face_verts = []
+        for d0 in range(nd):
+            if seen[d0]:
                 continue
-            f += 1
+            verts = set()
             w = d0
-            while seen[w] != stamp:
-                seen[w] = stamp
+            while not seen[w]:
+                seen[w] = True
+                verts.add(darts[w][0])
                 w = nxt[w]
-        if f == target_f:
-            ok = True
-            if cofacial_pairs:
-                stamp += 1
-                face_verts = []
-                for d0 in dart_range:
-                    if seen[d0] == stamp:
-                        continue
-                    verts = set()
-                    w = d0
-                    while seen[w] != stamp:
-                        seen[w] = stamp
-                        verts.add(darts[w][0])
-                        w = nxt[w]
-                    face_verts.append(verts)
-                for u, v in cofacial_pairs:
-                    if not any(u in fv and v in fv for fv in face_verts):
-                        ok = False
-                        break
-            if ok:
-                return tuple(contribs[v][pos[v]][0] for v in range(n))
-        # odometer: advance the last vertex that has not wrapped
-        i = len(varying) - 1
-        while i >= 0:
-            v = varying[i]
-            p = pos[v] + 1
-            if p < len(contribs[v]):
-                pos[v] = p
-                for s, t in contribs[v][p][1]:
-                    nxt[s] = t
-                break
-            pos[v] = 0
-            for s, t in contribs[v][0][1]:
+            face_verts.append(verts)
+        return all(any(u in fv and v in fv for fv in face_verts) for u, v in cofacial_pairs)
+
+    # Open chains are kept by their end darts: end[] maps a chain's first
+    # dart to its last and back, and both ends hold the chain's length.
+    # Each level of the walk works on its own copies of both lists.
+    def dfs(
+        v: int, end: list[int], length: list[int], closed: int, long_open: int, short: int
+    ) -> bool:
+        if v == n:  # every face is closed and the cuts left genus 0
+            return pairs_cofacial()
+        for order, vlinks in links[v]:
+            e = end[:]
+            ln = length[:]
+            c, lo, sh = closed, long_open, short
+            for s, t in vlinks:
                 nxt[s] = t
-            i -= 1
-        else:
-            return None
+                a = ln[s]
+                if a >= 3:
+                    lo -= 1
+                else:
+                    sh -= a
+                head = e[s]
+                if head == t:  # s's chain starts at t: a face closes
+                    c += 1
+                    continue
+                b = ln[t]
+                if b >= 3:
+                    lo -= 1
+                else:
+                    sh -= b
+                last = e[t]
+                e[head] = last
+                e[last] = head
+                a += b
+                ln[head] = ln[last] = a
+                if a >= 3:
+                    lo += 1
+                else:
+                    sh += a
+            if c + lo + sh // 3 >= target_f and dfs(v + 1, e, ln, c, lo, sh):
+                chosen[v] = order
+                return True
+        return False
+
+    if nd // 3 >= target_f and dfs(0, list(range(nd)), [1] * nd, 0, 0, nd):
+        return tuple(chosen)
+    return None

@@ -11,9 +11,9 @@ spanning, so the search ranges over such subsets only.  h(G) is the
 maximum size of a feasible set, and unc(G) is the minimum number of
 feasible sets covering all edges.
 
-Everything here is deliberately brute force over rotation systems; it is
-the independent check for the closed-form bounds, so it must not consult
-them.
+The search over rotation systems is exhaustive, with pruning that only
+cuts branches that have no genus-0 completion; it is the independent
+check for the closed-form bounds, so it must not consult them.
 """
 
 from __future__ import annotations

@@ -249,3 +249,14 @@ def test_determinism_all_subcommands(capsys, tmp_path):
         assert main(["render", "--in", str(tmp_path / "r.json"),
                      "--out", str(tmp_path / f"s{t}.svg")]) == 0
     assert (tmp_path / "sa.svg").read_bytes() == (tmp_path / "sb.svg").read_bytes()
+
+
+def test_parser_built_once_and_handlers_looked_up_per_call(monkeypatch, capsys, k8_file):
+    from uncrossed import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    assert run(capsys, "bounds", "--in", k8_file)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: seen.append(args.infile) or 0)
+    assert run(capsys, "bounds", "--in", k8_file) == (0, "")
+    assert seen == [k8_file]

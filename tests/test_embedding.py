@@ -1,3 +1,6 @@
+import itertools
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,12 +9,19 @@ from uncrossed.embedding import (
     cofacial,
     enumerate_rotation_systems,
     face_profile,
+    first_planar_rotation,
     genus,
     rotation_count,
     trace_faces,
 )
 from uncrossed.errors import SearchBudgetError
-from uncrossed.graphs import Graph, make_complete, make_random_gnm, make_wheel
+from uncrossed.graphs import (
+    Graph,
+    make_complete,
+    make_complete_bipartite,
+    make_random_gnm,
+    make_wheel,
+)
 
 # planar rotation of W_5 (hub 0, rim 1..4): four triangles plus the rim 4-gon
 W5_ORDER = ((4, 3, 2, 1), (4, 0, 2), (1, 0, 3), (2, 0, 4), (3, 0, 1))
@@ -202,3 +212,27 @@ def test_count_once_on_planar_nontrees(n, seed, extra):
         assert 1 in counts.values()
         # faces cannot be longer than 2n-3 in a non-tree planar embedding
         assert len(face) <= 2 * g.n - 3
+
+
+def test_kernel_planarity_matches_networkx_on_dense_graphs():
+    # the dense levels, where pruning cuts hardest: every connected
+    # spanning edge set of K_6 with at least 9 edges, and K_{3,3} plus each
+    # single added edge; with no pairs to put on a face the kernel finds a
+    # system exactly when the graph is planar
+    k6 = make_complete(6).edges
+    k33 = make_complete_bipartite(3, 3).edges
+    graphs = [hedges for size in range(9, 16) for hedges in itertools.combinations(k6, size)]
+    graphs += [tuple(sorted(k33 + (e,))) for e in k6 if e not in k33]
+    checked = planar = 0
+    for hedges in graphs:
+        h = Graph(6, hedges)
+        if not h.is_connected():
+            continue
+        checked += 1
+        nxg = nx.Graph(hedges)
+        orders = first_planar_rotation(6, hedges, (), rotation_count(h))
+        assert (orders is not None) == nx.check_planarity(nxg)[0], hedges
+        if orders is not None:
+            planar += 1
+            assert genus(RotationSystem(h, orders)) == 0
+    assert (checked, planar) == (9889, 9192)

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from corpus_util import small_connected_corpus
+from corpus_util import connected_graphs_up_to_iso, small_connected_corpus
 
 from uncrossed.bounds import h_upper
 from uncrossed.construction import build_construction
@@ -16,6 +16,7 @@ from uncrossed.embedding import (
     cofacial,
     enumerate_rotation_systems,
     genus,
+    rotation_count,
     trace_faces,
 )
 from uncrossed.errors import MalformedCertificateError, SearchBudgetError
@@ -253,6 +254,35 @@ def test_feasible_matches_brute_force_reference():
                 else:
                     assert cert is not None and cert.rotation == reference, (g, hedges)
     assert (subsets, systems) == (1661, 26534)
+
+
+@pytest.mark.slow
+def test_feasible_matches_brute_force_reference_n6():
+    # the n <= 5 reference check, continued to every connected spanning
+    # subset H of every connected 6-vertex graph with at most 500 rotation
+    # systems: same answer, same first hit, over the dense levels too
+    subsets = systems = 0
+    for g in connected_graphs_up_to_iso(6):
+        for size in range(g.n - 1, g.m + 1):
+            for hedges in itertools.combinations(g.edges, size):
+                h = Graph(g.n, hedges)
+                if not h.is_connected() or rotation_count(h) > 500:
+                    continue
+                subsets += 1
+                crossed = [e for e in g.edges if e not in hedges]
+                reference = None
+                for r in enumerate_rotation_systems(h):
+                    systems += 1
+                    faces = trace_faces(r)
+                    if genus(r) == 0 and all(cofacial(faces, u, v) for u, v in crossed):
+                        reference = r
+                        break
+                cert = feasible(g, hedges)
+                if reference is None:
+                    assert cert is None, (g, hedges)
+                else:
+                    assert cert is not None and cert.rotation == reference, (g, hedges)
+    assert (subsets, systems) == (74389, 1894717)
 
 
 def test_certificate_json_round_trip():
