@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import NotApplicableError
+from .errors import ConstructionIntegrityError, NotApplicableError
 from .graphs import Graph, analyze, complete_bipartite_parts, is_complete
 
 CEIL_GUARD = 1e-9
@@ -61,8 +61,8 @@ def h_upper(n: int, m: int) -> float:
 def unc_lower(n: int, m: int) -> int:
     """Lower bound ceil(m / h_upper(n, m)) on the uncrossed number."""
     denom = h_upper(n, m)
-    # denominator stays positive for any simple graph
-    assert denom > 0, f"denominator {denom} <= 0 for n={n}, m={m}"
+    if denom <= 0:  # stays positive for any simple graph
+        raise ConstructionIntegrityError(f"denominator {denom} <= 0 for n={n}, m={m}")
     return guarded_ceil(m / denom)
 
 
@@ -76,7 +76,8 @@ def h_upper_triangle_free(n: int, m: int) -> float:
 
 def unc_lower_triangle_free(n: int, m: int) -> int:
     denom = h_upper_triangle_free(n, m)
-    assert denom > 0
+    if denom <= 0:
+        raise ConstructionIntegrityError(f"denominator {denom} <= 0 for n={n}, m={m}")
     return guarded_ceil(m / denom)
 
 

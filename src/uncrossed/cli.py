@@ -47,8 +47,16 @@ def _num(value) -> str:
     return f"{value:.10g}"
 
 
+def _read_input(path: str) -> str:
+    """Text of an --in file; an unreadable one is a precondition failure."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def _read_graph(path: str):
-    g = parse_edge_list(Path(path).read_text())
+    g = parse_edge_list(_read_input(path))
     if not g.is_connected():
         raise ValueError("input graph is disconnected")
     return g
@@ -207,7 +215,7 @@ def cmd_compare_bounds(args) -> int:
 
 
 def cmd_render(args) -> int:
-    data = json.loads(Path(args.infile).read_text())
+    data = json.loads(_read_input(args.infile))
     svg = render_json(data)
     Path(args.out).write_text(svg)
     return 0

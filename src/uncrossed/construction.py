@@ -90,6 +90,11 @@ class ConstructionRecord:
         )
 
 
+def _need(cond: bool, what: str):
+    if not cond:
+        raise ConstructionIntegrityError(what)
+
+
 def choose_x(epsilon, n: int) -> tuple[int, float]:
     """Rim size hitting the density target: the ceiling of the root x0 of
     3n - 3 + x(x-5)/2 = epsilon n^2.
@@ -105,10 +110,10 @@ def choose_x(epsilon, n: int) -> tuple[int, float]:
     if eps > Fraction(n - 1, 2 * n):
         raise NotApplicableError(f"epsilon > (n-1)/(2n) = {Fraction(n - 1, 2 * n)}")
     disc = Fraction(25, 4) + 2 * (eps * n * n - 3 * (n - 1))
-    assert disc > 0  # follows from n >= 3/epsilon
+    _need(disc > 0, f"discriminant {disc} <= 0")  # follows from n >= 3/epsilon
     x0 = 2.5 + math.sqrt(float(disc))
     x = guarded_ceil(x0)
-    assert 3 <= x <= n - 1, f"clamp should be unreachable, got x={x}"
+    _need(3 <= x <= n - 1, f"clamp should be unreachable, got x={x}")
     return x, x0
 
 
@@ -144,10 +149,10 @@ def build_construction(
     for face in faces.faces:
         if face.vertices <= rim:
             continue  # the rim-only face is the outer one
-        assert len(face) == 3
+        _need(len(face) == 3, "interior wheel face is not a triangle")
         tri = tuple(u for u, _ in face.walk)
         triangles.append((tuple(sorted(tri)), tri))
-    assert len(triangles) == x
+    _need(len(triangles) == x, f"wheel has {len(triangles)} interior triangles, not {x}")
     heapq.heapify(triangles)
 
     hosts: list[tuple[int, int, int, int]] = []
@@ -175,18 +180,18 @@ def build_construction(
     rotation = RotationSystem(Graph(n, tuple(uncrossed)), tuple(tuple(o) for o in orders))
     final_faces = trace_faces(rotation)
     outer = [i for i, f in enumerate(final_faces.faces) if f.vertices <= rim]
-    assert len(outer) == 1
+    _need(len(outer) == 1, f"{len(outer)} rim-only faces, not 1")
     assignment = {e: outer[0] for e in crossed}
     certificate = SubdrawingCertificate(graph, tuple(uncrossed), rotation, assignment)
 
     m = graph.m
     m_prime = len(uncrossed)
     t = len(triangles)
-    assert m == 3 * n - 3 + x * (x - 5) // 2
-    assert m_prime == 3 * n - 3 - x
-    assert t == 2 * n - 2 - x
-    assert final_faces.f == t + 1
-    assert 2 * m >= x * x  # hence sqrt(2m) >= x
+    _need(m == 3 * n - 3 + x * (x - 5) // 2, "edge count identity failed")
+    _need(m_prime == 3 * n - 3 - x, "m' identity failed")
+    _need(t == 2 * n - 2 - x, "triangle count identity failed")
+    _need(final_faces.f == t + 1, "face count identity failed")
+    _need(2 * m >= x * x, "sqrt(2m) >= x failed")
 
     record = ConstructionRecord(
         epsilon_target=Fraction(epsilon) if epsilon is not None else None,
@@ -231,31 +236,27 @@ def check_tightness(rec: ConstructionRecord) -> dict:
     n, x = rec.n, rec.x
     s = rec.stats
 
-    def need(cond: bool, what: str):
-        if not cond:
-            raise ConstructionIntegrityError(what)
-
-    need(s.m == rec.graph.m == 3 * n - 3 + x * (x - 5) // 2, "edge count identity failed")
-    need(s.m_prime == len(rec.certificate.uncrossed) == 3 * n - 3 - x, "m' identity failed")
-    need(s.t == 2 * n - 2 - x, "triangle count identity failed")
-    need(s.f == s.t + 1, "face count identity failed")
-    need(len(rec.crossed_edges) == x * (x - 3) // 2, "crossed-chord count failed")
-    need(2 * s.m >= x * x, "sqrt(2m) >= x failed")
+    _need(s.m == rec.graph.m == 3 * n - 3 + x * (x - 5) // 2, "edge count identity failed")
+    _need(s.m_prime == len(rec.certificate.uncrossed) == 3 * n - 3 - x, "m' identity failed")
+    _need(s.t == 2 * n - 2 - x, "triangle count identity failed")
+    _need(s.f == s.t + 1, "face count identity failed")
+    _need(len(rec.crossed_edges) == x * (x - 3) // 2, "crossed-chord count failed")
+    _need(2 * s.m >= x * x, "sqrt(2m) >= x failed")
 
     lower = 3 * n - 3 - math.sqrt(2 * s.m)
-    need(s.m_prime + 1e-9 >= lower, f"property 1 failed: {s.m_prime} < {lower}")
+    _need(s.m_prime + 1e-9 >= lower, f"property 1 failed: {s.m_prime} < {lower}")
     upper = h_upper(n, s.m)
-    need(s.m_prime <= upper + 1e-9, f"witness above the closed-form cap: {s.m_prime} > {upper}")
+    _need(s.m_prime <= upper + 1e-9, f"witness above the closed-form cap: {s.m_prime} > {upper}")
 
     if rec.epsilon_target is None:
         raise ValueError("record carries no density target; build it via construct()")
     eps = rec.epsilon_target
     density = Fraction(s.m, n * n)
-    need(s.density == density, "stored density mismatch")
+    _need(s.density == density, "stored density mismatch")
     window_high = eps + Fraction(1, n) + Fraction(1, 2 * n * n)
-    need(eps <= density <= window_high, f"property 2 failed: {density} not in [{eps}, {window_high}]")
+    _need(eps <= density <= window_high, f"property 2 failed: {density} not in [{eps}, {window_high}]")
 
-    need(verify_certificate(rec.certificate), "certificate failed verification")
+    _need(verify_certificate(rec.certificate), "certificate failed verification")
     return {
         "n": n,
         "x": x,

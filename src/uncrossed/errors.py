@@ -24,4 +24,4 @@ class MalformedCertificateError(Exception):
 
 
 class ConstructionIntegrityError(Exception):
-    """A construction record failed one of its internal identity checks."""
+    """An internal identity check or a certificate re-verification failed."""

@@ -88,6 +88,36 @@ def connected_spanning(n: int, edges) -> bool:
     return components == 1
 
 
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every vertex permutation p (v -> p[v]) that maps g's edge set onto
+    itself, in lexicographic order, so the identity comes first.
+
+    Backtracking maps vertices 0..n-1 in turn, tries only unused targets of
+    equal degree, and keeps a target only if adjacency to every vertex
+    already mapped is preserved; a full map is then an automorphism.
+    """
+    adj = [set(a) for a in g.adjacency()]
+    perm = [0] * g.n
+    used = [False] * g.n
+    out: list[tuple[int, ...]] = []
+
+    def extend(v: int):
+        if v == g.n:
+            out.append(tuple(perm))
+            return
+        for t in range(g.n):
+            if used[t] or len(adj[t]) != len(adj[v]):
+                continue
+            if any((u in adj[v]) != (perm[u] in adj[t]) for u in range(v)):
+                continue
+            perm[v], used[t] = t, True
+            extend(v + 1)
+            used[t] = False
+
+    extend(0)
+    return out
+
+
 @dataclass(frozen=True)
 class GraphStats:
     n: int

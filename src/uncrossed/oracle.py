@@ -12,8 +12,10 @@ maximum size of a feasible set, and unc(G) is the minimum number of
 feasible sets covering all edges.
 
 The search over rotation systems is exhaustive, with pruning that only
-cuts branches that have no genus-0 completion; it is the independent
-check for the closed-form bounds, so it must not consult them.
+cuts branches that have no genus-0 completion, and a subset found
+infeasible rules out its whole orbit under the automorphisms of G; it is
+the independent check for the closed-form bounds, so it must not consult
+them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .embedding import (
     trace_faces,
 )
 from .errors import MalformedCertificateError, SearchBudgetError
-from .graphs import Edge, Graph, connected_spanning
+from .graphs import Edge, Graph, automorphisms, connected_spanning
 
 
 @dataclass(frozen=True)
@@ -172,26 +174,50 @@ def _maximal_feasible(g: Graph, limits: SearchLimits):
     found (subsets of feasible sets stay feasible, so they are skipped
     without any embedding work).  A spanning tree is always feasible, so
     the walk yields at least one set.
+
+    Infeasibility is cached by orbit under Aut(G).  Sets are edge masks;
+    when the kernel rules a candidate H out, the masks of every image
+    sigma(H) join `infeasible`, and later candidates in that set are
+    skipped.  This is sound: sigma maps H onto sigma(H) and the crossed
+    edges E - H onto E - sigma(H), and relabelling a rotation system of H
+    by sigma gives one of sigma(H) whose faces are the relabelled faces,
+    so genus 0 and every cofacial pair carry over both ways.  sigma(H)
+    also has the same degrees, hence the same rotation count, so the
+    budget check would have passed for it too.  Feasible candidates are
+    still searched one by one, since each needs its own first rotation as
+    its witness; the walk's order and its output are those of a walk
+    without the cache.  The automorphisms' edge maps are built on the
+    first infeasible candidate only, so planar inputs never pay for them.
     """
     if not g.is_connected():
         raise ValueError("oracle search expects a connected graph")
     if g.n > limits.max_n:
         raise SearchBudgetError(f"n={g.n} exceeds max_n={limits.max_n}")
     deadline = _Deadline(limits.time_budget)
-    found: list[frozenset] = []
+    bit = {e: 1 << i for i, e in enumerate(g.edges)}
+    found: list[int] = []
+    infeasible: set[int] = set()
+    edge_maps: list[dict[Edge, int]] | None = None
     for size in range(_size_cap(g), g.n - 2, -1):
         for hedges in itertools.combinations(g.edges, size):
             deadline.check()
-            hset = frozenset(hedges)
-            if any(hset <= f for f in found):
+            mask = sum(bit[e] for e in hedges)
+            if any(mask | f == f for f in found):
                 continue
-            if not connected_spanning(g.n, hedges):
+            if not connected_spanning(g.n, hedges) or mask in infeasible:
                 continue
-            crossed = tuple(e for e in g.edges if e not in hset)
+            crossed = tuple(e for e in g.edges if not mask & bit[e])
             orders = first_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget)
             if orders is not None:
-                found.append(hset)
+                found.append(mask)
                 yield hedges, orders
+                continue
+            if edge_maps is None:
+                edge_maps = [
+                    {(u, v): bit[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in g.edges}
+                    for p in automorphisms(g)
+                ]
+            infeasible.update(sum(em[e] for e in hedges) for em in edge_maps)
 
 
 def exact_h(

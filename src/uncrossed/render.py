@@ -14,8 +14,9 @@ from fractions import Fraction
 
 from .construction import ConstructionRecord
 from .embedding import trace_faces
-from .graphs import Graph
-from .oracle import SubdrawingCertificate
+from .errors import ConstructionIntegrityError, MalformedCertificateError
+from .graphs import Graph, connected_spanning
+from .oracle import SubdrawingCertificate, verify_certificate
 
 
 def _fmt(value: float) -> str:
@@ -149,28 +150,47 @@ def render_certificate(cert: SubdrawingCertificate, offset: float = 0.0) -> list
 
 
 def _graph_from_certificate_json(data: dict) -> Graph:
-    edges = {tuple(sorted(e)) for e in data["uncrossed"]}
-    for key in data.get("assignment", {}):
-        u, v = (int(t) for t in key.split("-"))
-        edges.add((min(u, v), max(u, v)))
-    return Graph(data["n"], tuple(sorted(edges)))
+    try:
+        edges = {tuple(sorted(e)) for e in data["uncrossed"]}
+        for key in data.get("assignment", {}):
+            u, v = (int(t) for t in key.split("-"))
+            edges.add((min(u, v), max(u, v)))
+        return Graph(data["n"], tuple(sorted(edges)))
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise MalformedCertificateError(f"bad certificate JSON: {exc}") from exc
+
+
+def _verified_certificate(data: dict) -> SubdrawingCertificate:
+    """Parse and re-verify one certificate before it is drawn.
+
+    Structural garbage raises MalformedCertificateError.  An uncrossed part
+    that leaves a vertex unconnected has no barycentric layout, so it is
+    rejected as a precondition failure (ValueError), as the layout itself
+    would; any other invalid witness raises ConstructionIntegrityError.
+    """
+    cert = SubdrawingCertificate.from_json_dict(data, _graph_from_certificate_json(data))
+    if not connected_spanning(cert.graph.n, cert.uncrossed):
+        raise ValueError("the uncrossed edges do not connect the drawing")
+    if not verify_certificate(cert):
+        raise ConstructionIntegrityError("certificate failed verification")
+    return cert
 
 
 def render_json(data: dict) -> str:
-    """Dispatch on the JSON shape produced by the CLI subcommands."""
+    """Dispatch on the JSON shape produced by the CLI subcommands.
+
+    Construction records are drawn as stored; every drawing certificate is
+    verified first.
+    """
     if data.get("kind") == "construction":
         return render_record(ConstructionRecord.from_json_dict(data))
     certs = []
     if "witness" in data:
-        cert_data = data["witness"]
-        certs = [SubdrawingCertificate.from_json_dict(cert_data, _graph_from_certificate_json(cert_data))]
+        certs = [_verified_certificate(data["witness"])]
     elif "cover" in data:
-        certs = [
-            SubdrawingCertificate.from_json_dict(c, _graph_from_certificate_json(c))
-            for c in data["cover"]
-        ]
+        certs = [_verified_certificate(c) for c in data["cover"]]
     elif "uncrossed" in data:
-        certs = [SubdrawingCertificate.from_json_dict(data, _graph_from_certificate_json(data))]
+        certs = [_verified_certificate(data)]
     if not certs:
         raise ValueError("input has neither coordinates nor a drawing certificate")
     body = []

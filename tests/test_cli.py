@@ -260,3 +260,50 @@ def test_parser_built_once_and_handlers_looked_up_per_call(monkeypatch, capsys, 
     monkeypatch.setattr(cli, "cmd_bounds", lambda args: seen.append(args.infile) or 0)
     assert run(capsys, "bounds", "--in", k8_file) == (0, "")
     assert seen == [k8_file]
+
+
+def test_missing_input_file_exit_code(capsys, tmp_path):
+    missing = str(tmp_path / "missing")
+    for argv in (["bounds", "--in", missing], ["oracle-h", "--in", missing],
+                 ["oracle-unc", "--in", missing],
+                 ["render", "--in", missing, "--out", str(tmp_path / "x.svg")]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "x.svg").exists()
+
+
+def _render_exit(capsys, tmp_path, payload) -> int:
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    code = main(["render", "--in", str(path), "--out", str(tmp_path / "x.svg")])
+    assert capsys.readouterr().err.startswith("error: ") == (code != 0)
+    return code
+
+
+PATH3_CERT = {"n": 3, "uncrossed": [[0, 1], [1, 2]], "rotation": [[1], [0, 2], [1]],
+              "assignment": {"0-2": 0}}
+
+
+def test_render_certificate_without_n_exit_code(capsys, tmp_path):
+    assert _render_exit(capsys, tmp_path, PATH3_CERT) == 0
+    payload = {k: v for k, v in PATH3_CERT.items() if k != "n"}
+    assert _render_exit(capsys, tmp_path, payload) == 4
+    assert _render_exit(capsys, tmp_path, {"witness": payload}) == 4
+
+
+def test_render_dangling_face_index_exit_code(capsys, tmp_path):
+    payload = dict(PATH3_CERT, assignment={"0-2": 7})
+    assert _render_exit(capsys, tmp_path, payload) == 4
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_render_invalid_certificate_exit_code(capsys, tmp_path):
+    # K_4 with every vertex's neighbours in ascending order: a torus
+    # embedding, well-formed but not genus 0, so no drawing is written
+    k4 = {"n": 4, "uncrossed": [list(e) for e in make_complete(4).edges],
+          "rotation": [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], "assignment": {}}
+    assert _render_exit(capsys, tmp_path, k4) == 4
+    assert not (tmp_path / "x.svg").exists()
+    cover = {"cover": [PATH3_CERT, k4]}
+    assert _render_exit(capsys, tmp_path, cover) == 4

@@ -1,12 +1,19 @@
+import itertools
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+
+sys.path.insert(0, str(Path(__file__).parent))
+from corpus_util import small_connected_corpus
 
 from uncrossed.errors import ParseError
 from uncrossed.graphs import (
     Graph,
     analyze,
+    automorphisms,
     complete_bipartite_parts,
     is_complete,
     make_complete,
@@ -127,3 +134,20 @@ def test_detection_helpers():
     assert complete_bipartite_parts(make_complete_bipartite(2, 5)) == (2, 5)
     assert complete_bipartite_parts(make_complete(4)) is None
     assert complete_bipartite_parts(make_wheel(6)) is None
+
+
+def test_automorphisms_match_brute_force():
+    # every permutation that maps the edge set onto itself, and no other,
+    # on all 143 connected graphs with n <= 6
+    for g in small_connected_corpus(6):
+        edges = set(g.edges)
+        brute = {
+            p for p in itertools.permutations(range(g.n))
+            if {tuple(sorted((p[u], p[v]))) for u, v in g.edges} == edges
+        }
+        found = automorphisms(g)
+        assert len(found) == len(set(found)) and set(found) == brute, g
+        assert found[0] == tuple(range(g.n))
+    cycle7 = Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
+    assert len(automorphisms(make_complete(7))) == 5040
+    assert len(automorphisms(cycle7)) == 14

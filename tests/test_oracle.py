@@ -20,8 +20,10 @@ from uncrossed.embedding import (
     trace_faces,
 )
 from uncrossed.errors import MalformedCertificateError, SearchBudgetError
+from uncrossed import oracle
 from uncrossed.graphs import Graph, make_complete, make_complete_bipartite, make_wheel
 from uncrossed.oracle import (
+    DEFAULT_UNC_LIMITS,
     SearchLimits,
     SubdrawingCertificate,
     exact_h,
@@ -293,3 +295,48 @@ def test_certificate_json_round_trip():
     assert back.rotation == cert.rotation
     assert back.face_assignment == cert.face_assignment
     assert verify_certificate(back)
+
+
+def test_orbit_cache_kernel_calls_on_k6(monkeypatch):
+    # K_6 is edge-transitive and more: one kernel search per orbit of
+    # infeasible candidates, plus one per feasible set yielded
+    calls = []
+    kernel = oracle.first_planar_rotation
+
+    def counted(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(oracle, "first_planar_rotation", counted)
+    k6 = make_complete(6)
+    assert exact_h(k6)[0] == 10 and len(calls) == 20
+    calls.clear()
+    assert exact_unc(k6)[0] == 2 and len(calls) == 668
+
+
+def _reference_walk(g):
+    # the size-descending walk without any cache: skip subsets of sets
+    # already found and ask feasible() about every other candidate
+    found = []
+    for size in range(min(g.m, 3 * g.n - 6), g.n - 2, -1):
+        for hedges in itertools.combinations(g.edges, size):
+            if any(set(hedges) <= set(f) for f, _ in found):
+                continue
+            cert = feasible(g, hedges, DEFAULT_UNC_LIMITS)
+            if cert is not None:
+                found.append((hedges, cert.rotation.order))
+    return found
+
+
+@pytest.mark.slow
+def test_orbit_cache_walk_matches_reference():
+    # same maximal sets in the same order, and the same first rotation for
+    # each, on the dense graphs where most candidates are infeasible
+    k6 = make_complete(6)
+    dense = [g for g in connected_graphs_up_to_iso(6) if g.m in (12, 13)]
+    assert len(dense) == 7
+    graphs = dense + [make_complete_bipartite(3, 3), Graph(6, k6.edges[1:]), k6]
+    for g in graphs:
+        reference = _reference_walk(g)
+        assert maximal_feasible_sets(g) == tuple(h for h, _ in reference), g
+        assert list(oracle._maximal_feasible(g, DEFAULT_UNC_LIMITS)) == reference, g
