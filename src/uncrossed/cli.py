@@ -35,6 +35,8 @@ from .oracle import (
 )
 from .render import render_json, render_record
 
+_json_str = json.encoder.encode_basestring_ascii
+
 DEFAULT_EPSILONS = "3/20,1/5,1/4,3/10,7/20,2/5,9/20"
 DEFAULT_NS = "20,40,80"
 
@@ -62,12 +64,75 @@ def _read_graph(path: str):
     return g
 
 
+def _fraction(text: str) -> Fraction:
+    """A fraction argument; a zero denominator is a precondition failure."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _fractions(text: str) -> list[Fraction]:
-    return [Fraction(tok) for tok in text.split(",") if tok]
+    return [_fraction(tok) for tok in text.split(",") if tok]
 
 
 def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
+
+
+def _json_text(obj, nl: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, for the values the CLI
+    writes: dicts with str keys, lists, tuples, str, int, float, bool and
+    None.  Anything else raises TypeError.
+
+    The stdlib falls back to its pure-Python encoder whenever `indent` is
+    set.  Here the bulk of a record, the ints and int pairs of a list (edge
+    lists, rotations) and the int values of a dict (face assignments), is
+    written with one f-string per item; only other items recurse.  nl is
+    the newline plus the current indent.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        deeper = inner + "  "
+        items = []
+        for x in obj:
+            if type(x) is int:
+                items.append(str(x))
+            elif type(x) is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int:
+                items.append(f"[{deeper}{x[0]},{deeper}{x[1]}{inner}]")
+            else:
+                items.append(_json_text(x, inner))
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            text = str(value) if type(value) is int else _json_text(value, inner)
+            items.append(f"{_json_str(key)}: {text}")
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (math.inf, -math.inf):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write(path: str | None, content: str):
@@ -90,16 +155,16 @@ def cmd_bounds(args) -> int:
     sys.stdout.write(csv)
     _write(args.csv, csv)
     if args.json:
-        _write(args.json, json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
+        _write(args.json, _json_text([r.to_json_dict() for r in reports]) + "\n")
     return 0
 
 
 def cmd_construct(args) -> int:
-    rec = construct(Fraction(args.epsilon), args.n)
+    rec = construct(_fraction(args.epsilon), args.n)
     check_tightness(rec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "record.json").write_text(json.dumps(rec.to_json_dict(), indent=2) + "\n")
+    (out / "record.json").write_text(_json_text(rec.to_json_dict()) + "\n")
     (out / "graph.edgelist").write_text(serialize_edge_list(rec.graph))
     if args.svg:
         (out / "drawing.svg").write_text(render_record(rec))
@@ -131,7 +196,7 @@ def cmd_oracle_h(args) -> int:
         "value": value,
         "witness": witness.to_json_dict(),
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _json_text(payload) + "\n"
     sys.stdout.write(text)
     _write(args.out, text)
     return 0
@@ -151,7 +216,7 @@ def cmd_oracle_unc(args) -> int:
         "value": value,
         "cover": [c.to_json_dict() for c in cover],
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _json_text(payload) + "\n"
     sys.stdout.write(text)
     _write(args.out, text)
     return 0
@@ -186,6 +251,9 @@ def cmd_verify_tightness(args) -> int:
 def cmd_compare_bounds(args) -> int:
     epsilons = _fractions(args.epsilons)
     ns = _ints(args.ns)
+    for n in ns:
+        if n < 3:  # before the K_n row's (n-1)/(2n) divides by 2n
+            raise ValueError(f"needs n >= 3, got n={n}")
     header = (
         "n,epsilon,m,unc_lower_quadratic,unc_lower,best_combined,best_k,"
         "exact_unc_complete,dense_ratio"

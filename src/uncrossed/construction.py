@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .bounds import guarded_ceil, h_upper
 from .embedding import RotationSystem, trace_faces
-from .errors import ConstructionIntegrityError, NotApplicableError
+from .errors import ConstructionIntegrityError, MalformedCertificateError, NotApplicableError
 from .graphs import Edge, Graph
 from .oracle import SubdrawingCertificate, verify_certificate
 
@@ -67,27 +67,42 @@ class ConstructionRecord:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ConstructionRecord":
-        graph = Graph(data["n"], tuple(tuple(e) for e in data["edges"]))
-        cert = SubdrawingCertificate.from_json_dict(data["certificate"], graph)
-        stats = data["stats"]
-        return ConstructionRecord(
-            epsilon_target=Fraction(data["epsilon"]) if data["epsilon"] is not None else None,
-            n=data["n"],
-            x=data["x"],
-            x0=data["x0"],
-            graph=graph,
-            certificate=cert,
-            crossed_edges=tuple(tuple(e) for e in data["crossed"]),
-            coordinates=tuple((p[0], p[1]) for p in data["coordinates"]),
-            stack_hosts=tuple(tuple(h) for h in data["stack_hosts"]),
-            stats=ConstructionStats(
-                m=stats["m"],
-                m_prime=stats["m_prime"],
-                t=stats["t"],
-                f=stats["f"],
-                density=Fraction(stats["density"]),
-            ),
-        )
+        """Parse what to_json_dict writes.  Missing keys, wrong types, and
+        crossed edges or coordinates that do not fit the graph raise
+        MalformedCertificateError."""
+        try:
+            graph = Graph(data["n"], tuple(tuple(e) for e in data["edges"]))
+            cert = SubdrawingCertificate.from_json_dict(data["certificate"], graph)
+            crossed = tuple(tuple(e) for e in data["crossed"])
+            coordinates = tuple((float(x), float(y)) for x, y in data["coordinates"])
+            stats = data["stats"]
+            record = ConstructionRecord(
+                epsilon_target=Fraction(data["epsilon"]) if data["epsilon"] is not None else None,
+                n=data["n"],
+                x=data["x"],
+                x0=data["x0"],
+                graph=graph,
+                certificate=cert,
+                crossed_edges=crossed,
+                coordinates=coordinates,
+                stack_hosts=tuple(tuple(h) for h in data["stack_hosts"]),
+                stats=ConstructionStats(
+                    m=stats["m"],
+                    m_prime=stats["m_prime"],
+                    t=stats["t"],
+                    f=stats["f"],
+                    density=Fraction(stats["density"]),
+                ),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+            raise MalformedCertificateError(f"bad construction record JSON: {exc}") from exc
+        if len(coordinates) != graph.n:
+            raise MalformedCertificateError(
+                f"{len(coordinates)} coordinates for {graph.n} vertices"
+            )
+        if not set(crossed) <= set(graph.edges):
+            raise MalformedCertificateError("a crossed edge is not an edge of the graph")
+        return record
 
 
 def _need(cond: bool, what: str):

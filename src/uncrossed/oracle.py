@@ -80,7 +80,7 @@ class SubdrawingCertificate:
             for key, idx in data["assignment"].items():
                 u, v = (int(t) for t in key.split("-"))
                 assignment[(min(u, v), max(u, v))] = int(idx)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise MalformedCertificateError(f"bad certificate JSON: {exc}") from exc
         return SubdrawingCertificate(graph, uncrossed, rotation, assignment)
 

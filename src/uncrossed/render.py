@@ -89,29 +89,29 @@ def _svg_document(body: list[str], xmin, ymin, width, height) -> str:
     return "\n".join([head] + body + ["</svg>"]) + "\n"
 
 
-def _edge_lines(coords, solid_edges, dotted) -> list[str]:
+def _drawing_lines(coords, solid_edges, dotted) -> list[str]:
+    """Solid segments, dotted arcs through their control points, then the
+    vertex dots; each vertex's coordinates are formatted once."""
+    pts = [(_fmt(x), _fmt(y)) for x, y in coords]
     body = []
     for u, v in solid_edges:
-        (x1, y1), (x2, y2) = coords[u], coords[v]
+        (x1, y1), (x2, y2) = pts[u], pts[v]
         body.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
             'stroke="black" stroke-width="0.02"/>'
         )
     for (u, v), (cx, cy) in dotted:
-        (x1, y1), (x2, y2) = coords[u], coords[v]
+        (x1, y1), (x2, y2) = pts[u], pts[v]
         body.append(
-            f'<path d="M {_fmt(x1)} {_fmt(y1)} Q {_fmt(cx)} {_fmt(cy)} {_fmt(x2)} {_fmt(y2)}" '
+            f'<path d="M {x1} {y1} Q {_fmt(cx)} {_fmt(cy)} {x2} {y2}" '
             'fill="none" stroke="black" stroke-width="0.02" stroke-dasharray="0.05,0.05"/>'
         )
-    return body
-
-
-def _vertex_dots(coords) -> list[str]:
-    return [
-        f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="0.05" fill="white" '
+    body += [
+        f'<circle cx="{x}" cy="{y}" r="0.05" fill="white" '
         'stroke="black" stroke-width="0.02"/>'
-        for x, y in coords
+        for x, y in pts
     ]
+    return body
 
 
 def _outward_control(p1, p2, radius: float) -> tuple[float, float]:
@@ -131,8 +131,7 @@ def _outward_control(p1, p2, radius: float) -> tuple[float, float]:
 def render_record(rec: ConstructionRecord) -> str:
     coords = rec.coordinates
     dotted = [(e, _outward_control(coords[e[0]], coords[e[1]], 1.0)) for e in rec.crossed_edges]
-    body = _edge_lines(coords, rec.certificate.uncrossed, dotted)
-    body += _vertex_dots(coords)
+    body = _drawing_lines(coords, rec.certificate.uncrossed, dotted)
     return _svg_document(body, -2.5, -2.5, 5.0, 5.0)
 
 
@@ -146,7 +145,7 @@ def render_certificate(cert: SubdrawingCertificate, offset: float = 0.0) -> list
         cx = (x1 + x2) / 2 - 0.35 * dy / dn
         cy = (y1 + y2) / 2 + 0.35 * dx / dn
         dotted.append(((u, v), (cx, cy)))
-    return _edge_lines(coords, cert.uncrossed, dotted) + _vertex_dots(coords)
+    return _drawing_lines(coords, cert.uncrossed, dotted)
 
 
 def _graph_from_certificate_json(data: dict) -> Graph:
@@ -176,18 +175,23 @@ def _verified_certificate(data: dict) -> SubdrawingCertificate:
     return cert
 
 
-def render_json(data: dict) -> str:
+def render_json(data) -> str:
     """Dispatch on the JSON shape produced by the CLI subcommands.
 
     Construction records are drawn as stored; every drawing certificate is
-    verified first.
+    verified first.  Input that is not an object, a cover that is not a
+    list, and a broken record or certificate raise MalformedCertificateError.
     """
+    if not isinstance(data, dict):
+        raise MalformedCertificateError(f"expected a JSON object, got {type(data).__name__}")
     if data.get("kind") == "construction":
         return render_record(ConstructionRecord.from_json_dict(data))
     certs = []
     if "witness" in data:
         certs = [_verified_certificate(data["witness"])]
     elif "cover" in data:
+        if not isinstance(data["cover"], list):
+            raise MalformedCertificateError('"cover" is not a list of certificates')
         certs = [_verified_certificate(c) for c in data["cover"]]
     elif "uncrossed" in data:
         certs = [_verified_certificate(data)]

@@ -307,3 +307,37 @@ def test_render_invalid_certificate_exit_code(capsys, tmp_path):
     assert not (tmp_path / "x.svg").exists()
     cover = {"cover": [PATH3_CERT, k4]}
     assert _render_exit(capsys, tmp_path, cover) == 4
+
+
+@pytest.mark.parametrize("payload", [
+    [], 5, {"cover": 5}, {"kind": "construction"}, {"kind": "construction", "n": 3},
+])
+def test_render_malformed_json_exit_code(capsys, tmp_path, payload):
+    assert _render_exit(capsys, tmp_path, payload) == 4
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_render_malformed_record_exit_code(capsys, tmp_path):
+    main(["construct", "--epsilon", "3/10", "--n", "20", "--out", str(tmp_path)])
+    capsys.readouterr()
+    record = json.loads((tmp_path / "record.json").read_text())
+    for broken in (dict(record, coordinates=record["coordinates"][:-1]),
+                   dict(record, coordinates=[[None, 0.0]] * 20),
+                   dict(record, crossed=[[0]]),
+                   dict(record, epsilon="1/0")):
+        assert _render_exit(capsys, tmp_path, broken) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--epsilon", "1/0", "--n", "20"],
+    ["verify-tightness", "--epsilons", "1/0"],
+    ["compare-bounds", "--epsilons", "1/0"],
+    ["compare-bounds", "--ns", "0"],
+])
+def test_zero_denominator_exit_code(capsys, tmp_path, argv):
+    if argv[0] == "construct":
+        argv = argv + ["--out", str(tmp_path / "rec")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

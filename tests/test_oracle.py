@@ -127,13 +127,18 @@ def test_exact_h_planar_is_m():
     assert exact_h(path)[0] == 4
 
 
-def test_exact_h_limits():
+def test_exact_h_limits(monkeypatch):
     with pytest.raises(SearchBudgetError):
         exact_h(make_complete(9))  # default max_n = 8
     with pytest.raises(SearchBudgetError):
         exact_h(make_complete(5), SearchLimits(max_rotation_budget=10))
-    with pytest.raises(SearchBudgetError):
-        exact_h(make_complete(6), SearchLimits(time_budget=0.05))
+    # a clock that advances 1 s per reading exhausts the budget at the first
+    # check, so the outcome does not depend on how fast the search runs
+    clock = itertools.count()
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle.time, "monotonic", lambda: float(next(clock)))
+        with pytest.raises(SearchBudgetError):
+            exact_h(make_complete(6), SearchLimits(time_budget=0.05))
 
 
 def test_maximal_feasible_sets():

@@ -1,0 +1,113 @@
+"""The CLI's JSON and SVG writers: identity with `json.dumps(..., indent=2)`
+and the bytes of every kind of file the CLI writes, pinned."""
+
+import hashlib
+import json
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from uncrossed.cli import _json_text, main
+from uncrossed.graphs import make_complete, make_complete_bipartite, serialize_edge_list
+
+INTS = st.integers(min_value=-(2**70), max_value=2**70)
+FLOATS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-7, 1e16])
+STRINGS = st.text() | st.sampled_from(
+    ["", '"quoted"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "é ünï", " ", "\ud800", "😀"]
+)
+# int rows as the CLI writes them (edges, rotations, stack hosts), plus
+# ragged and empty rows and rows with a bool or a float among the ints
+MIXED = INTS | st.booleans() | FLOATS
+INT_ROWS = st.lists(
+    st.lists(INTS, max_size=5)
+    | st.lists(INTS, min_size=2, max_size=2)
+    | st.lists(MIXED, min_size=2, max_size=2)
+    | st.lists(MIXED, max_size=3)
+    | st.tuples(INTS, INTS),
+    max_size=6,
+)
+LEAVES = st.none() | st.booleans() | INTS | FLOATS | STRINGS | INT_ROWS
+VALUES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(STRINGS, children, max_size=5)
+    | st.dictionaries(STRINGS, INTS, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALUES)
+def test_json_text_matches_stdlib(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_edge_cases():
+    for value in ([], {}, (), [[]], [{}], {"a": []}, [[1, 2], [3], [], [True, 4], [4, False], [5, 0.5]],
+                  {"0-1": 3, "k": [[0, 1]]}, [-0.0, math.nan, math.inf, -math.inf, 1e-7]):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1: 2}, {(0, 1): 2}, {1, 2}, Fraction(1, 2), b"x", [object()]])
+def test_json_text_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of each file as written before the fast writers replaced
+# json.dumps(..., indent=2) and per-endpoint coordinate formatting
+CONSTRUCT_SHA = {
+    ("3/10", 20): (
+        "ed31cd19e71410f30d79fafedf72881d1c5982523cddd4b21a5f6a169f4ca0f2",
+        "47dd03094f8f75b3e238f28556f8707c0a3b427e23160ffeba4cfc1b976061c7",
+        "a64e97af0c51e9d0352a5cc1cbfd6808c7925399580dc94133af35fabd85333e",
+    ),
+    ("9/20", 200): (
+        "1389f3a41e8cde3be988a8ed64924815e8bc28a9a65f37f3297edf10d31f9cf6",
+        "09d18142d07a28834e280cd8775b9bfee15a8b7873b610d3e9b1d42d1899f8ce",
+        "b857e9082e5d2b792aa783389824f97dc70a9813355bdc00b0eaac474cfe81ac",
+    ),
+}
+GRAPH_SHA = {
+    "k5": {
+        "h.json": "38ab955517c49a03b9ce09a4d0e49d4dcabf55faba864c8180ec2b66ee15b48f",
+        "unc.json": "ad02ee25c415209c17370d1d788db2c5f5354b039b84cc23ee845dce8b102cb3",
+        "bounds.json": "6df0d318492593009a2b6175c36ddf9d9610212feb48fa636bb24a7a3eda2656",
+        "svg": "4133b57d16563a4c716cd3d3be4c1514b95347923044eba533e5b7fcd07d0ff4",
+    },
+    "k33": {
+        "h.json": "37ceccc6085d9cfc90bfb1cb236e3b8a438076ba750325fdc440155219ed8611",
+        "unc.json": "a4fe874269254d5d8aa37e8c154b9742365dc46e474beb6e20a31301a3ec7280",
+        "bounds.json": "23370dd1851f447093207ed963e809e89729761911da0020d334b9064c9d0d4e",
+        "svg": "c196ce83c68db3c8c3904f79f1c89b87e6b3f2388e3025f40dac3c4a7addf628",
+    },
+}
+
+
+@pytest.mark.parametrize("epsilon,n", sorted(CONSTRUCT_SHA))
+def test_construct_files_pinned(capsys, tmp_path, epsilon, n):
+    assert main(["construct", "--epsilon", epsilon, "--n", str(n),
+                 "--out", str(tmp_path), "--svg"]) == 0
+    names = ("record.json", "graph.edgelist", "drawing.svg")
+    assert tuple(_sha(tmp_path / name) for name in names) == CONSTRUCT_SHA[epsilon, n]
+
+
+@pytest.mark.parametrize("name,graph", [("k5", make_complete(5)),
+                                        ("k33", make_complete_bipartite(3, 3))])
+def test_oracle_bounds_render_files_pinned(capsys, tmp_path, name, graph):
+    src = tmp_path / "g.edgelist"
+    src.write_text(serialize_edge_list(graph))
+    out = {kind: tmp_path / f"{name}.{kind}" for kind in GRAPH_SHA[name]}
+    for command, kind in (("oracle-h", "h.json"), ("oracle-unc", "unc.json")):
+        assert main([command, "--in", str(src), "--out", str(out[kind])]) == 0
+        assert capsys.readouterr().out == out[kind].read_text()
+    assert main(["bounds", "--in", str(src), "--json", str(out["bounds.json"])]) == 0
+    assert main(["render", "--in", str(out["h.json"]), "--out", str(out["svg"])]) == 0
+    assert {kind: _sha(path) for kind, path in out.items()} == GRAPH_SHA[name]
