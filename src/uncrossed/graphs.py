@@ -69,6 +69,8 @@ class Graph:
 
 def connected_spanning(n: int, edges) -> bool:
     """True iff the edges join all of the vertices 0..n-1 into one component."""
+    if len(edges) < n - 1:  # also spares a huge n its O(n) union-find
+        return False
     parent = list(range(n))
 
     def find(x):

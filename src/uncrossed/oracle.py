@@ -15,7 +15,9 @@ The search over rotation systems is exhaustive, with pruning that only
 cuts branches that have no genus-0 completion, and a subset found
 infeasible rules out its whole orbit under the automorphisms of G; it is
 the independent check for the closed-form bounds, so it must not consult
-them.
+them.  The walk over subsets only decides feasibility; a set it returns
+gets its witness afterwards, from the lexicographically first rotation
+system that works.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .embedding import (
     RotationSystem,
     first_planar_rotation,
     genus,
+    has_planar_rotation,
     trace_faces,
 )
 from .errors import MalformedCertificateError, SearchBudgetError
@@ -44,7 +47,7 @@ class SearchLimits:
     def __post_init__(self):
         if self.max_n < 1 or self.max_rotation_budget < 1:
             raise ValueError("limits must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:  # NaN too
             raise ValueError("time budget must be positive")
 
 
@@ -129,11 +132,23 @@ class _Deadline:
             raise SearchBudgetError("time budget exceeded")
 
 
-def _build_certificate(g: Graph, hedges: tuple[Edge, ...], orders) -> SubdrawingCertificate:
+def _crossed(g: Graph, hedges) -> tuple[Edge, ...]:
+    hset = set(hedges)
+    return tuple(e for e in g.edges if e not in hset)
+
+
+def _witness(g: Graph, hedges: tuple[Edge, ...], limits: SearchLimits) -> SubdrawingCertificate:
+    """Certificate for a set known to be feasible, built on the first
+    rotation system of (V, hedges) in lexicographic order that puts each
+    crossed edge's endpoints on a common face."""
+    crossed = _crossed(g, hedges)
+    orders = first_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget)
+    if orders is None:
+        raise AssertionError(f"no witness for a set decided feasible: {hedges}")
     rotation = RotationSystem(Graph(g.n, hedges), orders)
     faces = trace_faces(rotation)
     assignment = {}
-    for e in sorted(set(g.edges) - set(hedges)):
+    for e in crossed:
         u, v = e
         for i, face in enumerate(faces.faces):
             if u in face.vertices and v in face.vertices:
@@ -149,16 +164,13 @@ def feasible(
     if not g.is_connected():
         raise ValueError("feasibility search expects a connected graph")
     hedges = tuple(sorted(subset))
-    hset = set(hedges)
-    if not hset <= set(g.edges):
+    if not set(hedges) <= set(g.edges):
         raise ValueError("subset contains an edge not in the graph")
     if not connected_spanning(g.n, hedges):
         return None
-    crossed = tuple(e for e in g.edges if e not in hset)
-    orders = first_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget)
-    if orders is None:
+    if not has_planar_rotation(g.n, hedges, _crossed(g, hedges), limits.max_rotation_budget):
         return None
-    return _build_certificate(g, hedges, orders)
+    return _witness(g, hedges, limits)
 
 
 def _size_cap(g: Graph) -> int:
@@ -166,8 +178,8 @@ def _size_cap(g: Graph) -> int:
 
 
 def _maximal_feasible(g: Graph, limits: SearchLimits):
-    """Yield (edges, rotation orders) for every inclusion-maximal feasible
-    set, largest first and lexicographically within a size.
+    """Yield the edges of every inclusion-maximal feasible set, largest
+    first and lexicographically within a size.
 
     Scanning sizes downward makes maximality checks local: a candidate
     is maximal iff it is feasible and not contained in a set already
@@ -183,11 +195,13 @@ def _maximal_feasible(g: Graph, limits: SearchLimits):
     by sigma gives one of sigma(H) whose faces are the relabelled faces,
     so genus 0 and every cofacial pair carry over both ways.  sigma(H)
     also has the same degrees, hence the same rotation count, so the
-    budget check would have passed for it too.  Feasible candidates are
-    still searched one by one, since each needs its own first rotation as
-    its witness; the walk's order and its output are those of a walk
-    without the cache.  The automorphisms' edge maps are built on the
-    first infeasible candidate only, so planar inputs never pay for them.
+    budget check would have passed for it too.  The walk's order and its
+    output are those of a walk without the cache.  The automorphisms' edge
+    maps are built on the first infeasible candidate only, so planar
+    inputs never pay for them.
+
+    The walk only decides feasibility, with has_planar_rotation; the
+    callers search a witness for the few sets they return (_witness).
     """
     if not g.is_connected():
         raise ValueError("oracle search expects a connected graph")
@@ -207,10 +221,9 @@ def _maximal_feasible(g: Graph, limits: SearchLimits):
             if not connected_spanning(g.n, hedges) or mask in infeasible:
                 continue
             crossed = tuple(e for e in g.edges if not mask & bit[e])
-            orders = first_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget)
-            if orders is not None:
+            if has_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget):
                 found.append(mask)
-                yield hedges, orders
+                yield hedges
                 continue
             if edge_maps is None:
                 edge_maps = [
@@ -228,8 +241,8 @@ def exact_h(
     The witness is the first set of the size-descending walk, so it is
     deterministic.
     """
-    for hedges, orders in _maximal_feasible(g, limits):
-        return len(hedges), _build_certificate(g, hedges, orders)
+    for hedges in _maximal_feasible(g, limits):
+        return len(hedges), _witness(g, hedges, limits)
     raise AssertionError("unreachable: a spanning tree is always feasible")
 
 
@@ -237,7 +250,7 @@ def maximal_feasible_sets(
     g: Graph, limits: SearchLimits = DEFAULT_UNC_LIMITS
 ) -> tuple[tuple[Edge, ...], ...]:
     """All inclusion-maximal feasible edge sets, largest first."""
-    return tuple(hedges for hedges, _ in _maximal_feasible(g, limits))
+    return tuple(_maximal_feasible(g, limits))
 
 
 def _find_cover(masks: list[int], full: int, k: int) -> list[int] | None:
@@ -269,14 +282,14 @@ def exact_unc(
     """Minimum number of feasible sets covering all edges, with witnesses."""
     sets = list(_maximal_feasible(g, limits))
     if g.m == 0:  # nothing to cover, but one drawing still shows the vertex
-        return 1, [_build_certificate(g, *sets[0])]
-    h = len(sets[0][0])
+        return 1, [_witness(g, sets[0], limits)]
+    h = len(sets[0])
     edge_index = {e: i for i, e in enumerate(g.edges)}
-    masks = [sum(1 << edge_index[e] for e in hedges) for hedges, _ in sets]
+    masks = [sum(1 << edge_index[e] for e in hedges) for hedges in sets]
     full = (1 << g.m) - 1
     lower = max(1, -(-g.m // h))
     for k in range(lower, len(sets) + 1):
         picked = _find_cover(masks, full, k)
         if picked is not None:
-            return k, [_build_certificate(g, *sets[i]) for i in picked]
+            return k, [_witness(g, sets[i], limits) for i in picked]
     raise AssertionError("unreachable: the union of maximal sets covers E")

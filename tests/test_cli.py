@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from uncrossed.cli import main
 from uncrossed.graphs import (
@@ -103,6 +104,17 @@ def test_oracle_h_budget(capsys, tmp_path):
     path.write_text(serialize_edge_list(make_complete(5)))
     assert main(["oracle-h", "--in", str(path), "--budget", "10"]) == 3
     assert main(["oracle-h", "--in", str(path), "--max-n", "4"]) == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_oracle_time_budget_must_be_positive(capsys, tmp_path, value):
+    path = tmp_path / "k5.edgelist"
+    path.write_text(serialize_edge_list(make_complete(5)))
+    for cmd in ("oracle-h", "oracle-unc"):
+        assert main([cmd, "--in", str(path), "--time-budget", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: time budget must be positive\n"
 
 
 def test_oracle_unc(capsys, tmp_path):
@@ -273,6 +285,15 @@ def test_missing_input_file_exit_code(capsys, tmp_path):
     assert not (tmp_path / "x.svg").exists()
 
 
+def test_huge_vertex_count_exit_code(capsys, tmp_path):
+    # the header's n costs nothing until the edges could connect n vertices
+    path = tmp_path / "huge.edgelist"
+    path.write_text("1000000000000 1\n0 1\n")
+    for cmd in ("bounds", "oracle-h", "oracle-unc"):
+        assert main([cmd, "--in", str(path)]) == 2
+        assert capsys.readouterr().err == "error: input graph is disconnected\n"
+
+
 def _render_exit(capsys, tmp_path, payload) -> int:
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(payload))
@@ -341,3 +362,96 @@ def test_zero_denominator_exit_code(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# Edge-list text: connected graphs (a random tree plus extra edges), random
+# pairs under a matching header (they may loop, repeat or leave the range),
+# token soup in the format's shape, and free text over its characters.
+_TOKEN = st.one_of(st.integers(-1, 7).map(str), st.sampled_from(["", "x", "2.5", "0x1", "٣"]))
+_PAIRS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10)
+
+
+def _edge_list_text(n, pairs) -> str:
+    return f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+
+
+@st.composite
+def _connected_edge_list(draw):
+    n = draw(st.integers(1, 6))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges |= {(u, v) for u, v in draw(_PAIRS) if u < v < n}
+    return _edge_list_text(n, sorted(edges))
+
+
+_EDGE_LIST = st.one_of(
+    _connected_edge_list(),
+    st.builds(_edge_list_text, st.integers(1, 5), _PAIRS),
+    st.builds(
+        lambda header, lines, end: "\n".join([" ".join(header)] + [" ".join(l) for l in lines]) + end,
+        st.lists(_TOKEN, min_size=1, max_size=3),
+        st.lists(st.lists(_TOKEN, min_size=1, max_size=3), max_size=12),
+        st.sampled_from(["", "\n", "\n\n"]),
+    ),
+    st.text(alphabet="0123456789 -\n\tx", max_size=30),
+)
+_EDGE_ARGS = (["bounds"], ["bounds", "--triangle-free-check"],
+              ["oracle-h", "--max-n", "5", "--budget", "500"],
+              ["oracle-unc", "--max-n", "5", "--budget", "500"])
+
+# JSON for render: random trees over the keys the CLI writes, and the
+# certificates of two small drawings with one key dropped or replaced.
+_KEYS = ["n", "uncrossed", "rotation", "assignment", "kind", "witness", "cover", "edges",
+         "certificate", "crossed", "coordinates", "stats", "epsilon", "x", "x0", "stack_hosts"]
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-2, 8), st.floats(),
+                  st.text(max_size=5), st.sampled_from(["construction", "0-2", "1/2"]))
+_JSON = st.recursive(
+    _LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.one_of(st.sampled_from(_KEYS), st.text(max_size=3)), inner,
+                        max_size=5),
+    ),
+    max_leaves=12,
+)
+_K4_CERT = {"n": 4, "uncrossed": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
+            "rotation": [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]], "assignment": {}}
+_VALID = [PATH3_CERT, _K4_CERT, {"witness": PATH3_CERT}, {"cover": [PATH3_CERT, _K4_CERT]}]
+
+
+@st.composite
+def _render_payloads(draw):
+    if draw(st.booleans()):
+        return draw(_JSON)
+    payload = dict(draw(st.sampled_from(_VALID)))
+    key = draw(st.sampled_from(sorted(payload)))
+    if draw(st.booleans()):
+        del payload[key]
+    else:
+        payload[key] = draw(_JSON)
+    return payload
+
+
+_FUZZ = settings(max_examples=120, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(text=_EDGE_LIST, args=st.sampled_from(_EDGE_ARGS))
+def test_fuzz_edge_list_exit_codes(capsys, tmp_path, text, args):
+    path = tmp_path / "g.edgelist"
+    path.write_text(text)
+    code = main(args + ["--in", str(path)])
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    assert (code == 0) == (captured.err == "")
+
+
+@_FUZZ
+@given(payload=_render_payloads())
+def test_fuzz_render_exit_codes(capsys, tmp_path, payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code = main(["render", "--in", str(path), "--out", str(tmp_path / "out.svg")])
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    assert (code == 0) == (captured.err == "")

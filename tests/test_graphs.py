@@ -15,6 +15,7 @@ from uncrossed.graphs import (
     analyze,
     automorphisms,
     complete_bipartite_parts,
+    connected_spanning,
     is_complete,
     make_complete,
     make_complete_bipartite,
@@ -134,6 +135,15 @@ def test_detection_helpers():
     assert complete_bipartite_parts(make_complete_bipartite(2, 5)) == (2, 5)
     assert complete_bipartite_parts(make_complete(4)) is None
     assert complete_bipartite_parts(make_wheel(6)) is None
+
+
+def test_connected_spanning_counts_edges_first():
+    assert connected_spanning(1, ())
+    assert connected_spanning(3, [(0, 1), (1, 2)])
+    assert not connected_spanning(4, [(0, 1), (1, 2), (0, 2)])
+    # too few edges to connect the vertices: no per-vertex work at all
+    assert not connected_spanning(10**12, [(0, 1)])
+    assert not Graph(10**12, ((0, 1),)).is_connected()
 
 
 def test_automorphisms_match_brute_force():

@@ -8,13 +8,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_util import connected_graphs_up_to_iso, small_connected_corpus
 
-from uncrossed.bounds import h_upper
+from uncrossed.bounds import exact_h_complete, h_upper
 from uncrossed.construction import build_construction
 from uncrossed.graphs import make_random_gnm
 from uncrossed.embedding import (
     RotationSystem,
     cofacial,
     enumerate_rotation_systems,
+    first_planar_rotation,
     genus,
     rotation_count,
     trace_faces,
@@ -303,40 +304,67 @@ def test_certificate_json_round_trip():
 
 
 def test_orbit_cache_kernel_calls_on_k6(monkeypatch):
-    # K_6 is edge-transitive and more: one kernel search per orbit of
-    # infeasible candidates, plus one per feasible set yielded
-    calls = []
-    kernel = oracle.first_planar_rotation
+    # K_6 is edge-transitive and more: one decision per orbit of infeasible
+    # candidates plus one per feasible set yielded, and one witness search
+    # per set returned
+    decisions, witnesses = [], []
 
-    def counted(*args):
-        calls.append(args[1])
-        return kernel(*args)
+    def counted(kernel, calls):
+        def wrapper(*args):
+            calls.append(args[1])
+            return kernel(*args)
+        return wrapper
 
-    monkeypatch.setattr(oracle, "first_planar_rotation", counted)
+    monkeypatch.setattr(oracle, "has_planar_rotation",
+                        counted(oracle.has_planar_rotation, decisions))
+    monkeypatch.setattr(oracle, "first_planar_rotation",
+                        counted(oracle.first_planar_rotation, witnesses))
     k6 = make_complete(6)
-    assert exact_h(k6)[0] == 10 and len(calls) == 20
-    calls.clear()
-    assert exact_unc(k6)[0] == 2 and len(calls) == 668
+    assert exact_h(k6)[0] == 10
+    assert (len(decisions), len(witnesses)) == (20, 1)
+    decisions.clear()
+    witnesses.clear()
+    assert exact_unc(k6)[0] == 2
+    assert (len(decisions), len(witnesses)) == (668, 2)
+    decisions.clear()
+    witnesses.clear()
+    assert len(maximal_feasible_sets(k6)) == 612
+    assert (len(decisions), len(witnesses)) == (668, 0)
+
+
+@pytest.mark.slow
+def test_exact_h_k7_under_raised_budget():
+    # K_7 has 27,648,000 rotation systems, over the default budget; the
+    # pruned search gets through them once the budget allows it
+    h, witness = exact_h(make_complete(7), SearchLimits(max_rotation_budget=10**9))
+    assert h == 12 == exact_h_complete(7)
+    assert verify_certificate(witness)
 
 
 def _reference_walk(g):
-    # the size-descending walk without any cache: skip subsets of sets
-    # already found and ask feasible() about every other candidate
+    # the size-descending walk without any cache or decision step: skip
+    # subsets of sets already found and run the lexicographic kernel on
+    # every other spanning connected candidate
     found = []
+    budget = DEFAULT_UNC_LIMITS.max_rotation_budget
     for size in range(min(g.m, 3 * g.n - 6), g.n - 2, -1):
         for hedges in itertools.combinations(g.edges, size):
             if any(set(hedges) <= set(f) for f, _ in found):
                 continue
-            cert = feasible(g, hedges, DEFAULT_UNC_LIMITS)
-            if cert is not None:
-                found.append((hedges, cert.rotation.order))
+            if not Graph(g.n, hedges).is_connected():
+                continue
+            crossed = tuple(e for e in g.edges if e not in hedges)
+            orders = first_planar_rotation(g.n, hedges, crossed, budget)
+            if orders is not None:
+                found.append((hedges, orders))
     return found
 
 
 @pytest.mark.slow
 def test_orbit_cache_walk_matches_reference():
     # same maximal sets in the same order, and the same first rotation for
-    # each, on the dense graphs where most candidates are infeasible
+    # each as its witness, on the dense graphs where most candidates are
+    # infeasible
     k6 = make_complete(6)
     dense = [g for g in connected_graphs_up_to_iso(6) if g.m in (12, 13)]
     assert len(dense) == 7
@@ -344,4 +372,7 @@ def test_orbit_cache_walk_matches_reference():
     for g in graphs:
         reference = _reference_walk(g)
         assert maximal_feasible_sets(g) == tuple(h for h, _ in reference), g
-        assert list(oracle._maximal_feasible(g, DEFAULT_UNC_LIMITS)) == reference, g
+        walk = list(oracle._maximal_feasible(g, DEFAULT_UNC_LIMITS))
+        assert walk == [h for h, _ in reference], g
+        for hedges, orders in reference:
+            assert oracle._witness(g, hedges, DEFAULT_UNC_LIMITS).rotation.order == orders, g
