@@ -36,6 +36,7 @@ from .oracle import (
 from .render import render_json, render_record
 
 _json_str = json.encoder.encode_basestring_ascii
+_ROWS = (list, tuple)
 
 DEFAULT_EPSILONS = "3/20,1/5,1/4,3/10,7/20,2/5,9/20"
 DEFAULT_NS = "20,40,80"
@@ -81,33 +82,29 @@ def _ints(text: str) -> list[int]:
 
 
 def _json_text(obj, nl: str = "\n") -> str:
-    """`json.dumps(obj, indent=2)`, byte for byte, for the values the CLI
-    writes: dicts with str keys, lists, tuples, str, int, float, bool and
-    None.  Anything else raises TypeError.
+    """`json.dumps(obj, indent=2)`, byte for byte, except that dict keys
+    must be str (anything else raises TypeError).
 
     The stdlib falls back to its pure-Python encoder whenever `indent` is
-    set.  Here the bulk of a record, the ints and int pairs of a list (edge
-    lists, rotations) and the int values of a dict (face assignments), is
-    written with one f-string per item; only other items recurse.  nl is
-    the newline plus the current indent.
+    set.  Here the bulk of a record, the ints and int pairs of a list or
+    tuple (edge lists, rotations) and the int values of a dict (face
+    assignments), is written with one f-string per item; other items of a
+    non-empty container recurse, and every other value is `json.dumps`'s.
+    nl is the newline plus the current indent.
     """
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+    if isinstance(obj, _ROWS) and obj:
         inner = nl + "  "
         deeper = inner + "  "
         items = []
         for x in obj:
             if type(x) is int:
                 items.append(str(x))
-            elif type(x) is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int:
+            elif type(x) in _ROWS and len(x) == 2 and type(x[0]) is int and type(x[1]) is int:
                 items.append(f"[{deeper}{x[0]},{deeper}{x[1]}{inner}]")
             else:
                 items.append(_json_text(x, inner))
         return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+    if isinstance(obj, dict) and obj:
         inner = nl + "  "
         items = []
         for key, value in obj.items():
@@ -116,23 +113,7 @@ def _json_text(obj, nl: str = "\n") -> str:
             text = str(value) if type(value) is int else _json_text(value, inner)
             items.append(f"{_json_str(key)}: {text}")
         return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj in (math.inf, -math.inf):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return float.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return json.dumps(obj)
 
 
 def _write(path: str | None, content: str):
@@ -192,7 +173,7 @@ def cmd_oracle_h(args) -> int:
         "kind": "max-uncrossed-subgraph",
         "n": g.n,
         "m": g.m,
-        "edges": [list(e) for e in g.edges],
+        "edges": g.edges,
         "value": value,
         "witness": witness.to_json_dict(),
     }
@@ -212,7 +193,7 @@ def cmd_oracle_unc(args) -> int:
         "kind": "uncrossed-number",
         "n": g.n,
         "m": g.m,
-        "edges": [list(e) for e in g.edges],
+        "edges": g.edges,
         "value": value,
         "cover": [c.to_json_dict() for c in cover],
     }
@@ -345,7 +326,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (ParseError, NotApplicableError, ValueError) as exc:
+    except (ParseError, NotApplicableError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SearchBudgetError as exc:

@@ -51,11 +51,11 @@ class ConstructionRecord:
             "n": self.n,
             "x": self.x,
             "x0": self.x0,
-            "edges": [list(e) for e in self.graph.edges],
-            "crossed": [list(e) for e in self.crossed_edges],
+            "edges": self.graph.edges,
+            "crossed": self.crossed_edges,
             "certificate": self.certificate.to_json_dict(),
-            "coordinates": [list(p) for p in self.coordinates],
-            "stack_hosts": [list(h) for h in self.stack_hosts],
+            "coordinates": self.coordinates,
+            "stack_hosts": self.stack_hosts,
             "stats": {
                 "m": self.stats.m,
                 "m_prime": self.stats.m_prime,
@@ -155,19 +155,11 @@ def build_construction(
     uncrossed += [(i, i + 1) for i in range(1, x)]
     uncrossed.append((1, x))
 
-    # oriented interior triangles of the wheel drawing, via one trace, in a
-    # heap keyed by their sorted vertex triples (distinct, so no ties)
-    wheel = Graph.from_edges(x + 1, uncrossed)
-    faces = trace_faces(RotationSystem(wheel, tuple(tuple(o) for o in orders[: x + 1])))
-    rim = set(range(1, x + 1))
-    triangles: list[tuple[tuple[int, int, int], tuple[int, int, int]]] = []
-    for face in faces.faces:
-        if face.vertices <= rim:
-            continue  # the rim-only face is the outer one
-        _need(len(face) == 3, "interior wheel face is not a triangle")
-        tri = tuple(u for u, _ in face.walk)
-        triangles.append((tuple(sorted(tri)), tri))
-    _need(len(triangles) == x, f"wheel has {len(triangles)} interior triangles, not {x}")
+    # oriented interior triangles of the wheel drawing, as face tracing
+    # walks them, in a heap keyed by their sorted vertex triples (distinct,
+    # so no ties)
+    wheel = [(0, i, i % x + 1) for i in range(1, x + 1)]
+    triangles = [(tuple(sorted(tri)), tri) for tri in wheel]
     heapq.heapify(triangles)
 
     hosts: list[tuple[int, int, int, int]] = []
@@ -194,6 +186,7 @@ def build_construction(
 
     rotation = RotationSystem(Graph(n, tuple(uncrossed)), tuple(tuple(o) for o in orders))
     final_faces = trace_faces(rotation)
+    rim = set(range(1, x + 1))
     outer = [i for i, f in enumerate(final_faces.faces) if f.vertices <= rim]
     _need(len(outer) == 1, f"{len(outer)} rim-only faces, not 1")
     assignment = {e: outer[0] for e in crossed}

@@ -50,14 +50,6 @@ class RotationSystem:
             normalized.append(_rotate_to_min(tuple(cyc)))
         object.__setattr__(self, "order", tuple(normalized))
 
-    def successor(self, v: int, u: int) -> int:
-        """Neighbor following u in the cyclic order at v."""
-        cyc = self.order[v]
-        return cyc[(cyc.index(u) + 1) % len(cyc)]
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.graph.n, "order": [list(c) for c in self.order]}
-
 
 @dataclass(frozen=True)
 class Face:

@@ -60,9 +60,6 @@ class Graph:
             a.sort()
         return adj
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in set(self.edges)
-
     def is_connected(self) -> bool:
         return connected_spanning(self.n, self.edges)
 

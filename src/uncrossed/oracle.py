@@ -67,8 +67,8 @@ class SubdrawingCertificate:
     def to_json_dict(self) -> dict:
         return {
             "n": self.graph.n,
-            "uncrossed": [list(e) for e in self.uncrossed],
-            "rotation": [list(c) for c in self.rotation.order],
+            "uncrossed": self.uncrossed,
+            "rotation": self.rotation.order,
             "assignment": {f"{u}-{v}": i for (u, v), i in sorted(self.face_assignment.items())},
         }
 

@@ -364,6 +364,20 @@ def test_zero_denominator_exit_code(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare-bounds", "--ns", str(10**160), "--epsilons", "1/10"],
+    ["construct", "--epsilon", "1/10", "--n", str(10**400)],
+    ["verify-tightness", "--epsilons", "1/10", "--ns", str(10**400)],
+])
+def test_beyond_float_range_exit_code(capsys, tmp_path, argv):
+    if argv[0] == "construct":
+        argv = argv + ["--out", str(tmp_path / "rec")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 # Edge-list text: connected graphs (a random tree plus extra edges), random
 # pairs under a matching header (they may loop, repeat or leave the range),
 # token soup in the format's shape, and free text over its characters.

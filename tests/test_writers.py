@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uncrossed.cli import _json_text, main
+from uncrossed.construction import construct
 from uncrossed.graphs import make_complete, make_complete_bipartite, serialize_edge_list
+from uncrossed.oracle import exact_unc
 
 INTS = st.integers(min_value=-(2**70), max_value=2**70)
 FLOATS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-7, 1e16])
@@ -47,7 +49,10 @@ def test_json_text_matches_stdlib(value):
 
 def test_json_text_edge_cases():
     for value in ([], {}, (), [[]], [{}], {"a": []}, [[1, 2], [3], [], [True, 4], [4, False], [5, 0.5]],
-                  {"0-1": 3, "k": [[0, 1]]}, [-0.0, math.nan, math.inf, -math.inf, 1e-7]):
+                  {"0-1": 3, "k": [[0, 1]]}, [-0.0, math.nan, math.inf, -math.inf, 1e-7],
+                  # records whose rows are stored tuples, handed over uncopied
+                  construct(Fraction(3, 20), 60).to_json_dict(),
+                  [c.to_json_dict() for c in exact_unc(make_complete(5))[1]]):
         assert _json_text(value) == json.dumps(value, indent=2)
 
 
