@@ -161,17 +161,33 @@ def combined_bound(n: int, m: int, k: int) -> float:
 
 
 def best_combined_bound(n: int, m: int) -> tuple[float, int]:
-    """Minimum of combined_bound over every admissible k; returns (value, k)."""
+    """Minimum of combined_bound over every admissible k; returns (value, k),
+    with the smallest such k, as a scan upward from k = 3 finds it.
+
+    Only a window around k0 = floor(k*) is evaluated, k* = sqrt(3m/N + 3)
+    with N = n - 2.  For k > 3, combined_bound(n, m, k) equals
+    3n - 7 + 3/k - sqrt(2 g(k) + (1 - 3/k)^2), where
+    g(k) = (1 - 3/k)(m + N - N k) is concave and peaks at k*.  On the reals
+    the bound falls on [4, k*], where 3/k falls and g and (1 - 3/k)^2 grow.
+    It rises on [k* + 2, oo): its derivative there has the sign of
+    N(k^2 - k*^2) - 3 sqrt(2 g(k) + (1 - 3/k)^2) - 3(1 - 3/k), and
+    N(k^2 - k*^2) >= 4N k* + 4N beats sqrt(6N) k* + 6, which bounds the
+    rest since g(k) <= N k*^2 / 3 and k* >= sqrt(6).  The admissible k,
+    those with m > N(k - 1), end at k_max = ceil(m/N) >= k0 - 2.  So the
+    minimum sits in [min(k0, k_max), k0 + 3]; the window also takes the
+    two k below k0, so that float rounding on the flat bottom cannot make
+    it miss a first minimum that a full scan would return.
+    """
     _require_n3(n)
     if m < n - 1:
         raise ValueError("expects a connected graph, so m >= n-1")
     best = (float(3 * n - 6), 3)
-    k = 4
-    while m > (k - 1) * (n - 2):
+    k0 = math.isqrt(3 * m // (n - 2) + 3)
+    k_max = (m - 1) // (n - 2) + 1
+    for k in range(max(4, k0 - 2), min(k_max, k0 + 3) + 1):
         value = combined_bound(n, m, k)
         if value < best[0]:
             best = (value, k)
-        k += 1
     return best
 
 

@@ -15,9 +15,9 @@ The search over rotation systems is exhaustive, with pruning that only
 cuts branches that have no genus-0 completion, and a subset found
 infeasible rules out its whole orbit under the automorphisms of G; it is
 the independent check for the closed-form bounds, so it must not consult
-them.  The walk over subsets only decides feasibility; a set it returns
-gets its witness afterwards, from the lexicographically first rotation
-system that works.
+them.  Each candidate subset is searched once, and a set the walk returns
+keeps that search's hit as its witness: the first rotation system that
+works when the vertices are fixed in ascending (degree, vertex) order.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .embedding import (
     RotationSystem,
     first_planar_rotation,
     genus,
-    has_planar_rotation,
     trace_faces,
 )
 from .errors import MalformedCertificateError, SearchBudgetError
@@ -73,8 +72,17 @@ class SubdrawingCertificate:
         }
 
     @staticmethod
-    def from_json_dict(data: dict, graph: Graph) -> "SubdrawingCertificate":
+    def from_json_dict(data: dict, graph: Graph | None = None) -> "SubdrawingCertificate":
+        """Parse what to_json_dict writes.  Without a graph, the host graph
+        is the uncrossed edges plus the assignment keys; anything that does
+        not parse raises MalformedCertificateError."""
         try:
+            if graph is None:
+                edges = {tuple(sorted(e)) for e in data["uncrossed"]}
+                for key in data.get("assignment", {}):
+                    u, v = (int(t) for t in key.split("-"))
+                    edges.add((min(u, v), max(u, v)))
+                graph = Graph(data["n"], tuple(sorted(edges)))
             uncrossed = tuple(sorted((min(u, v), max(u, v)) for u, v in data["uncrossed"]))
             rotation = RotationSystem(
                 Graph(data["n"], uncrossed), tuple(tuple(c) for c in data["rotation"])
@@ -137,18 +145,15 @@ def _crossed(g: Graph, hedges) -> tuple[Edge, ...]:
     return tuple(e for e in g.edges if e not in hset)
 
 
-def _witness(g: Graph, hedges: tuple[Edge, ...], limits: SearchLimits) -> SubdrawingCertificate:
-    """Certificate for a set known to be feasible, built on the first
-    rotation system of (V, hedges) in lexicographic order that puts each
-    crossed edge's endpoints on a common face."""
-    crossed = _crossed(g, hedges)
-    orders = first_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget)
-    if orders is None:
-        raise AssertionError(f"no witness for a set decided feasible: {hedges}")
+def _witness(
+    g: Graph, hedges: tuple[Edge, ...], orders: tuple[tuple[int, ...], ...]
+) -> SubdrawingCertificate:
+    """Certificate for (V, hedges) on the cyclic orders the kernel found:
+    each crossed edge goes to the first face that holds both endpoints."""
     rotation = RotationSystem(Graph(g.n, hedges), orders)
     faces = trace_faces(rotation)
     assignment = {}
-    for e in crossed:
+    for e in _crossed(g, hedges):
         u, v = e
         for i, face in enumerate(faces.faces):
             if u in face.vertices and v in face.vertices:
@@ -168,9 +173,8 @@ def feasible(
         raise ValueError("subset contains an edge not in the graph")
     if not connected_spanning(g.n, hedges):
         return None
-    if not has_planar_rotation(g.n, hedges, _crossed(g, hedges), limits.max_rotation_budget):
-        return None
-    return _witness(g, hedges, limits)
+    orders = first_planar_rotation(g.n, hedges, _crossed(g, hedges), limits.max_rotation_budget)
+    return None if orders is None else _witness(g, hedges, orders)
 
 
 def _size_cap(g: Graph) -> int:
@@ -178,8 +182,9 @@ def _size_cap(g: Graph) -> int:
 
 
 def _maximal_feasible(g: Graph, limits: SearchLimits):
-    """Yield the edges of every inclusion-maximal feasible set, largest
-    first and lexicographically within a size.
+    """Yield (edges, orders) for every inclusion-maximal feasible set,
+    largest first and lexicographically within a size; orders are the
+    cyclic orders of the kernel's first hit on the set, its witness.
 
     Scanning sizes downward makes maximality checks local: a candidate
     is maximal iff it is feasible and not contained in a set already
@@ -199,9 +204,6 @@ def _maximal_feasible(g: Graph, limits: SearchLimits):
     output are those of a walk without the cache.  The automorphisms' edge
     maps are built on the first infeasible candidate only, so planar
     inputs never pay for them.
-
-    The walk only decides feasibility, with has_planar_rotation; the
-    callers search a witness for the few sets they return (_witness).
     """
     if not g.is_connected():
         raise ValueError("oracle search expects a connected graph")
@@ -221,9 +223,10 @@ def _maximal_feasible(g: Graph, limits: SearchLimits):
             if not connected_spanning(g.n, hedges) or mask in infeasible:
                 continue
             crossed = tuple(e for e in g.edges if not mask & bit[e])
-            if has_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget):
+            orders = first_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget)
+            if orders is not None:
                 found.append(mask)
-                yield hedges
+                yield hedges, orders
                 continue
             if edge_maps is None:
                 edge_maps = [
@@ -238,11 +241,11 @@ def exact_h(
 ) -> tuple[int, SubdrawingCertificate]:
     """Maximum feasible-set size with a verifying witness.
 
-    The witness is the first set of the size-descending walk, so it is
-    deterministic.
+    The witness is the first set of the size-descending walk, drawn on the
+    kernel's first hit for it, so it is deterministic.
     """
-    for hedges in _maximal_feasible(g, limits):
-        return len(hedges), _witness(g, hedges, limits)
+    for hedges, orders in _maximal_feasible(g, limits):
+        return len(hedges), _witness(g, hedges, orders)
     raise AssertionError("unreachable: a spanning tree is always feasible")
 
 
@@ -250,7 +253,7 @@ def maximal_feasible_sets(
     g: Graph, limits: SearchLimits = DEFAULT_UNC_LIMITS
 ) -> tuple[tuple[Edge, ...], ...]:
     """All inclusion-maximal feasible edge sets, largest first."""
-    return tuple(_maximal_feasible(g, limits))
+    return tuple(hedges for hedges, _ in _maximal_feasible(g, limits))
 
 
 def _find_cover(masks: list[int], full: int, k: int) -> list[int] | None:
@@ -282,14 +285,14 @@ def exact_unc(
     """Minimum number of feasible sets covering all edges, with witnesses."""
     sets = list(_maximal_feasible(g, limits))
     if g.m == 0:  # nothing to cover, but one drawing still shows the vertex
-        return 1, [_witness(g, sets[0], limits)]
-    h = len(sets[0])
+        return 1, [_witness(g, *sets[0])]
+    h = len(sets[0][0])
     edge_index = {e: i for i, e in enumerate(g.edges)}
-    masks = [sum(1 << edge_index[e] for e in hedges) for hedges in sets]
+    masks = [sum(1 << edge_index[e] for e in hedges) for hedges, _ in sets]
     full = (1 << g.m) - 1
     lower = max(1, -(-g.m // h))
     for k in range(lower, len(sets) + 1):
         picked = _find_cover(masks, full, k)
         if picked is not None:
-            return k, [_witness(g, sets[i], limits) for i in picked]
+            return k, [_witness(g, *sets[i]) for i in picked]
     raise AssertionError("unreachable: the union of maximal sets covers E")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .construction import ConstructionRecord
 from .embedding import trace_faces
 from .errors import ConstructionIntegrityError, MalformedCertificateError
-from .graphs import Graph, connected_spanning
+from .graphs import connected_spanning
 from .oracle import SubdrawingCertificate, verify_certificate
 
 
@@ -148,17 +148,6 @@ def render_certificate(cert: SubdrawingCertificate, offset: float = 0.0) -> list
     return _drawing_lines(coords, cert.uncrossed, dotted)
 
 
-def _graph_from_certificate_json(data: dict) -> Graph:
-    try:
-        edges = {tuple(sorted(e)) for e in data["uncrossed"]}
-        for key in data.get("assignment", {}):
-            u, v = (int(t) for t in key.split("-"))
-            edges.add((min(u, v), max(u, v)))
-        return Graph(data["n"], tuple(sorted(edges)))
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise MalformedCertificateError(f"bad certificate JSON: {exc}") from exc
-
-
 def _verified_certificate(data: dict) -> SubdrawingCertificate:
     """Parse and re-verify one certificate before it is drawn.
 
@@ -167,7 +156,7 @@ def _verified_certificate(data: dict) -> SubdrawingCertificate:
     rejected as a precondition failure (ValueError), as the layout itself
     would; any other invalid witness raises ConstructionIntegrityError.
     """
-    cert = SubdrawingCertificate.from_json_dict(data, _graph_from_certificate_json(data))
+    cert = SubdrawingCertificate.from_json_dict(data)
     if not connected_spanning(cert.graph.n, cert.uncrossed):
         raise ValueError("the uncrossed edges do not connect the drawing")
     if not verify_certificate(cert):

@@ -133,6 +133,29 @@ def test_best_combined_bound():
     assert 14 <= value <= 16.52
 
 
+def _scan_best_combined_bound(n, m):
+    # every admissible k in turn, keeping the first strict minimum
+    best = (float(3 * n - 6), 3)
+    k = 4
+    while m > (k - 1) * (n - 2):
+        value = combined_bound(n, m, k)
+        if value < best[0]:
+            best = (value, k)
+        k += 1
+    return best
+
+
+def test_best_combined_bound_window_matches_full_scan():
+    cases = [(n, m) for n in range(3, 41) for m in range(n - 1, n * (n - 1) // 2 + 1)]
+    # compare-bounds: its default grid with the K_n rows, and n = 10^6 at 1/10
+    for n in (1000, 10000):
+        cases += [(n, min(n * n * p // 10, n * (n - 1) // 2)) for p in (1, 2, 3, 4)]
+        cases.append((n, n * (n - 1) // 2))
+    cases.append((10**6, 10**11))
+    for n, m in cases:
+        assert best_combined_bound(n, m) == _scan_best_combined_bound(n, m), (n, m)
+
+
 def test_alpha_bound():
     # the h_upper instantiation: alpha = sqrt((3n-6)/m)
     a = math.sqrt((3 * 20 - 6) / 120)

@@ -87,6 +87,30 @@ def test_verify_malformed():
             k4, ((0, 5),), cert.rotation, {}))
 
 
+def test_verify_rejects_genus_one_rotation():
+    k4 = make_complete(4)
+    rotation = next(r for r in enumerate_rotation_systems(k4) if genus(r) == 1)
+    assert not verify_certificate(SubdrawingCertificate(k4, k4.edges, rotation, {}))
+
+
+def test_verify_rejects_disconnected_uncrossed_part():
+    k4 = make_complete(4)
+    halves = ((0, 1), (2, 3))
+    rotation = RotationSystem(Graph(4, halves), ((1,), (0,), (3,), (2,)))
+    assignment = {e: 0 for e in k4.edges if e not in halves}
+    assert not verify_certificate(SubdrawingCertificate(k4, halves, rotation, assignment))
+
+
+def test_verify_dangling_index_raises_on_genus_one_rotation():
+    # the structural check comes before the genus check
+    k4 = make_complete(4)
+    hedges = k4.edges[:-1]
+    h = Graph(4, hedges)
+    rotation = next(r for r in enumerate_rotation_systems(h) if genus(r) == 1)
+    with pytest.raises(MalformedCertificateError):
+        verify_certificate(SubdrawingCertificate(k4, hedges, rotation, {k4.edges[-1]: 7}))
+
+
 def test_feasible_examples():
     k4 = make_complete(4)
     cert = feasible(k4, k4.edges)
@@ -236,10 +260,23 @@ def test_single_vertex_and_edge():
     assert maximal_feasible_sets(single) == ((),)
 
 
+def _systems_in_kernel_order(h):
+    # every rotation system of h once, as enumerate_rotation_systems makes
+    # them, but with the vertices fixed in the kernel's ascending
+    # (degree, vertex) order: the first of them varies slowest
+    adj = h.adjacency()
+    fix_order = sorted(range(h.n), key=lambda v: (len(adj[v]), v))
+    arrangements = [[tuple(a[:1]) + rest for rest in itertools.permutations(a[1:])] for a in adj]
+    for combo in itertools.product(*(arrangements[v] for v in fix_order)):
+        orders = dict(zip(fix_order, combo))
+        yield RotationSystem(h, tuple(orders[v] for v in range(h.n)))
+
+
 def test_feasible_matches_brute_force_reference():
     # every connected spanning subset H of every connected graph with
-    # n <= 5: feasible() finds a witness exactly when a plain scan of
-    # enumerate_rotation_systems does, and it is the scan's first hit
+    # n <= 5: feasible() finds a witness exactly when a plain scan of the
+    # rotation systems in the kernel's order does, and it is the scan's
+    # first hit
     subsets = systems = 0
     for g in small_connected_corpus(5):
         for size in range(g.n - 1, g.m + 1):
@@ -250,7 +287,7 @@ def test_feasible_matches_brute_force_reference():
                 subsets += 1
                 crossed = [e for e in g.edges if e not in hedges]
                 reference = None
-                for r in enumerate_rotation_systems(h):
+                for r in _systems_in_kernel_order(h):
                     systems += 1
                     faces = trace_faces(r)
                     if genus(r) == 0 and all(cofacial(faces, u, v) for u, v in crossed):
@@ -261,7 +298,7 @@ def test_feasible_matches_brute_force_reference():
                     assert cert is None, (g, hedges)
                 else:
                     assert cert is not None and cert.rotation == reference, (g, hedges)
-    assert (subsets, systems) == (1661, 26534)
+    assert (subsets, systems) == (1661, 26380)
 
 
 @pytest.mark.slow
@@ -279,7 +316,7 @@ def test_feasible_matches_brute_force_reference_n6():
                 subsets += 1
                 crossed = [e for e in g.edges if e not in hedges]
                 reference = None
-                for r in enumerate_rotation_systems(h):
+                for r in _systems_in_kernel_order(h):
                     systems += 1
                     faces = trace_faces(r)
                     if genus(r) == 0 and all(cofacial(faces, u, v) for u, v in crossed):
@@ -290,7 +327,7 @@ def test_feasible_matches_brute_force_reference_n6():
                     assert cert is None, (g, hedges)
                 else:
                     assert cert is not None and cert.rotation == reference, (g, hedges)
-    assert (subsets, systems) == (74389, 1894717)
+    assert (subsets, systems) == (74389, 1877492)
 
 
 def test_certificate_json_round_trip():
@@ -304,32 +341,26 @@ def test_certificate_json_round_trip():
 
 
 def test_orbit_cache_kernel_calls_on_k6(monkeypatch):
-    # K_6 is edge-transitive and more: one decision per orbit of infeasible
-    # candidates plus one per feasible set yielded, and one witness search
-    # per set returned
-    decisions, witnesses = [], []
+    # K_6 is edge-transitive and more: one kernel search per orbit of
+    # infeasible candidates plus one per feasible set yielded, and none
+    # after the walk, since a returned set keeps its search's hit
+    calls = []
+    kernel = oracle.first_planar_rotation
 
-    def counted(kernel, calls):
-        def wrapper(*args):
-            calls.append(args[1])
-            return kernel(*args)
-        return wrapper
+    def counted(*args):
+        calls.append(args[1])
+        return kernel(*args)
 
-    monkeypatch.setattr(oracle, "has_planar_rotation",
-                        counted(oracle.has_planar_rotation, decisions))
-    monkeypatch.setattr(oracle, "first_planar_rotation",
-                        counted(oracle.first_planar_rotation, witnesses))
+    monkeypatch.setattr(oracle, "first_planar_rotation", counted)
     k6 = make_complete(6)
     assert exact_h(k6)[0] == 10
-    assert (len(decisions), len(witnesses)) == (20, 1)
-    decisions.clear()
-    witnesses.clear()
+    assert len(calls) == 20
+    calls.clear()
     assert exact_unc(k6)[0] == 2
-    assert (len(decisions), len(witnesses)) == (668, 2)
-    decisions.clear()
-    witnesses.clear()
+    assert len(calls) == 668
+    calls.clear()
     assert len(maximal_feasible_sets(k6)) == 612
-    assert (len(decisions), len(witnesses)) == (668, 0)
+    assert len(calls) == 668
 
 
 @pytest.mark.slow
@@ -342,9 +373,9 @@ def test_exact_h_k7_under_raised_budget():
 
 
 def _reference_walk(g):
-    # the size-descending walk without any cache or decision step: skip
-    # subsets of sets already found and run the lexicographic kernel on
-    # every other spanning connected candidate
+    # the size-descending walk without any cache: skip subsets of sets
+    # already found and run the kernel on every other spanning connected
+    # candidate
     found = []
     budget = DEFAULT_UNC_LIMITS.max_rotation_budget
     for size in range(min(g.m, 3 * g.n - 6), g.n - 2, -1):
@@ -362,9 +393,8 @@ def _reference_walk(g):
 
 @pytest.mark.slow
 def test_orbit_cache_walk_matches_reference():
-    # same maximal sets in the same order, and the same first rotation for
-    # each as its witness, on the dense graphs where most candidates are
-    # infeasible
+    # same maximal sets in the same order, each with the same first
+    # rotation, on the dense graphs where most candidates are infeasible
     k6 = make_complete(6)
     dense = [g for g in connected_graphs_up_to_iso(6) if g.m in (12, 13)]
     assert len(dense) == 7
@@ -372,7 +402,4 @@ def test_orbit_cache_walk_matches_reference():
     for g in graphs:
         reference = _reference_walk(g)
         assert maximal_feasible_sets(g) == tuple(h for h, _ in reference), g
-        walk = list(oracle._maximal_feasible(g, DEFAULT_UNC_LIMITS))
-        assert walk == [h for h, _ in reference], g
-        for hedges, orders in reference:
-            assert oracle._witness(g, hedges, DEFAULT_UNC_LIMITS).rotation.order == orders, g
+        assert list(oracle._maximal_feasible(g, DEFAULT_UNC_LIMITS)) == reference, g

@@ -67,7 +67,9 @@ def _sha(path) -> str:
 
 
 # sha256 of each file as written before the fast writers replaced
-# json.dumps(..., indent=2) and per-endpoint coordinate formatting
+# json.dumps(..., indent=2) and per-endpoint coordinate formatting; the
+# K_5 oracle and render files were re-taken when the oracle's witness
+# became the kernel's first hit in ascending (degree, vertex) order
 CONSTRUCT_SHA = {
     ("3/10", 20): (
         "ed31cd19e71410f30d79fafedf72881d1c5982523cddd4b21a5f6a169f4ca0f2",
@@ -82,10 +84,10 @@ CONSTRUCT_SHA = {
 }
 GRAPH_SHA = {
     "k5": {
-        "h.json": "38ab955517c49a03b9ce09a4d0e49d4dcabf55faba864c8180ec2b66ee15b48f",
-        "unc.json": "ad02ee25c415209c17370d1d788db2c5f5354b039b84cc23ee845dce8b102cb3",
+        "h.json": "6c2103e7c5ce7247c8e5e0c7328f005eb827e532ff15ecab6c3a0d2e501ce269",
+        "unc.json": "f5df1f0a9f13e7ebf9df76c2e56f2d6603d5fe23a17d40410fa2ff4e1ebae9f7",
         "bounds.json": "6df0d318492593009a2b6175c36ddf9d9610212feb48fa636bb24a7a3eda2656",
-        "svg": "4133b57d16563a4c716cd3d3be4c1514b95347923044eba533e5b7fcd07d0ff4",
+        "svg": "45bd43ee557a66e9627be68966def96da91aa530dca438516bc5028a751bf793",
     },
     "k33": {
         "h.json": "37ceccc6085d9cfc90bfb1cb236e3b8a438076ba750325fdc440155219ed8611",
