@@ -143,17 +143,19 @@ def rotation_count(g: Graph) -> int:
     return total
 
 
+def _check_budget(g: Graph, budget: int) -> None:
+    total = rotation_count(g)
+    if total > budget:
+        raise SearchBudgetError(f"{total} rotation systems exceed the budget of {budget}")
+
+
 def _pinned_arrangements(g: Graph, budget: int) -> list[list[tuple[int, ...]]]:
     """Per vertex, every cyclic order of its neighbors that starts at the
     smallest one, in lexicographic order.  Pinning the first neighbor
     quotients out cyclic rotations.  Raises SearchBudgetError when the
     rotation systems they combine into number more than the budget.
     """
-    total = rotation_count(g)
-    if total > budget:
-        raise SearchBudgetError(
-            f"{total} rotation systems exceed the budget of {budget}"
-        )
+    _check_budget(g, budget)
     return [
         [tuple(a[:1]) + rest for rest in itertools.permutations(a[1:])]
         for a in g.adjacency()
@@ -189,99 +191,125 @@ def first_planar_rotation(
     6-vertex graphs, where the search must be exhaustive, this order is
     about 2.9 times faster than fixing vertices 0..n-1.  The budget counts
     the systems before pruning, as enumerate_rotation_systems does.
-    Fixing a vertex links every dart into it to its successor dart; the
-    linked darts form open chains, and a chain linked back to its own first
-    dart closes a face.  With m >= 2 every face of a connected simple graph
-    has length >= 3 and every face still open is a union of open chains,
-    so a branch is cut once closed faces + open chains of length >= 3 +
+
+    A vertex's cyclic order starts at its smallest neighbor and is built
+    one neighbor at a time, the next one taken from those left in
+    ascending order, so arrangements are visited lexicographically and
+    those sharing a prefix share its work.  Each choice links one dart
+    into the vertex to its successor dart; the linked darts form open
+    chains, and a chain linked back to its own first dart closes a face.
+    With m >= 2 every face of a connected simple graph has length >= 3 and
+    every face still open is a union of open chains, so a branch is cut,
+    after any link, once closed faces + open chains of length >= 3 +
     (darts in shorter open chains) // 3 falls below the 2 - n + m faces of
     a genus-0 embedding.  Only branches without a genus-0 completion are
     cut.  Pairs are checked on the faces of each genus-0 leaf.
     """
     g = Graph(n, edges)
-    arrangements = _pinned_arrangements(g, budget)
-    # a vertex's arrangements all have its degree as their length
-    fix_order = sorted(range(n), key=lambda v: (len(arrangements[v][0]), v))
+    _check_budget(g, budget)
+    adj = g.adjacency()
+    # a vertex without neighbors sets no link
+    fix_order = sorted((v for v in range(n) if adj[v]), key=lambda v: (len(adj[v]), v))
     darts = sorted(d for u, v in g.edges for d in ((u, v), (v, u)))
     idx = {d: i for i, d in enumerate(darts)}
     nd = len(darts)
     # faces shorter than 3 need m <= 1, whose one rotation system is
     # planar, so nothing is cut there
     target_f = 2 - n + g.m if g.m >= 2 else 0
-    # per vertex and arrangement, the (dart into v, next dart) links it
-    # sets, built the first time the walk tries that arrangement
-    links: list[list[tuple[tuple[int, int], ...] | None]] = [
-        [None] * len(arrs) for arrs in arrangements
-    ]
+    # per vertex fixed, in fix order: the dart in from its first neighbor,
+    # the (dart out, dart in) of the others, ascending, and the closing
+    # link's target, the dart out to its first neighbor
+    first_in = [idx[(adj[v][0], v)] for v in fix_order]
+    others = [tuple((idx[(v, w)], idx[(w, v)]) for w in adj[v][1:]) for v in fix_order]
+    closing = [((idx[(v, adj[v][0])], -1),) for v in fix_order]
+    last_i = len(fix_order) - 1
+    pair_masks = [1 << u | 1 << v for u, v in cofacial_pairs]
+    tail_bit = [1 << u for u, _ in darts]
     nxt = [0] * nd
-    chosen: list[tuple[int, ...]] = [()] * n
+    # Open chains are kept by their end darts: end[] maps a chain's first
+    # dart to its last and back, and both ends hold the chain's length.
+    end = list(range(nd))
+    length = [1] * nd
 
     def pairs_cofacial() -> bool:
-        if not cofacial_pairs:
-            return True
         seen = [False] * nd
-        face_verts = []
+        faces = []
         for d0 in range(nd):
             if seen[d0]:
                 continue
-            verts = set()
+            face = 0
             w = d0
             while not seen[w]:
                 seen[w] = True
-                verts.add(darts[w][0])
+                face |= tail_bit[w]
                 w = nxt[w]
-            face_verts.append(verts)
-        return all(any(u in fv and v in fv for fv in face_verts) for u, v in cofacial_pairs)
+            faces.append(face)
+        return all(any(p & f == p for f in faces) for p in pair_masks)
 
-    # Open chains are kept by their end darts: end[] maps a chain's first
-    # dart to its last and back, and both ends hold the chain's length.
-    # Each level of the walk works on its own copies of both lists.
-    def dfs(
-        i: int, end: list[int], length: list[int], closed: int, long_open: int, short: int
-    ) -> bool:
-        if i == n:  # every face is closed and the cuts left genus 0
-            return pairs_cofacial()
-        v = fix_order[i]
-        arrs, built = arrangements[v], links[v]
-        for k, vlinks in enumerate(built):
-            if vlinks is None:
-                order = arrs[k]
-                vlinks = built[k] = tuple(
-                    (idx[(u, v)], idx[(v, w)]) for u, w in zip(order, order[1:] + order[:1])
-                )
-            e = end[:]
-            ln = length[:]
+    # Vertex fix_order[i] has its order fixed up to the neighbor whose dart
+    # in is s, and `left` neighbors are still to place; each choice links s
+    # to the dart out to an unplaced neighbor, is undone on the way back,
+    # and once none is left the closing link completes the vertex.
+    placed = [False] * nd
+
+    def dfs(i: int, s: int, left: int, closed: int, long_open: int, short: int) -> bool:
+        for t, s_next in others[i] if left else closing[i]:
+            if placed[t]:
+                continue
+            nxt[s] = t
             c, lo, sh = closed, long_open, short
-            for s, t in vlinks:
-                nxt[s] = t
-                a = ln[s]
-                if a >= 3:
-                    lo -= 1
-                else:
-                    sh -= a
-                head = e[s]
-                if head == t:  # s's chain starts at t: a face closes
-                    c += 1
-                    continue
-                b = ln[t]
+            a = length[s]
+            if a >= 3:
+                lo -= 1
+            else:
+                sh -= a
+            head = end[s]
+            merged = head != t  # else s's chain starts at t: a face closes
+            if merged:
+                b = length[t]
                 if b >= 3:
                     lo -= 1
                 else:
                     sh -= b
-                last = e[t]
-                e[head] = last
-                e[last] = head
-                a += b
-                ln[head] = ln[last] = a
-                if a >= 3:
+                last = end[t]
+                end[head] = last
+                end[last] = head
+                length[head] = length[last] = a + b
+                if a + b >= 3:
                     lo += 1
                 else:
-                    sh += a
-            if c + lo + sh // 3 >= target_f and dfs(i + 1, e, ln, c, lo, sh):
-                chosen[v] = arrs[k]
-                return True
+                    sh += a + b
+            else:
+                c += 1
+            if c + lo + sh // 3 >= target_f:
+                if left:
+                    placed[t] = True
+                    found = dfs(i, s_next, left - 1, c, lo, sh)
+                    placed[t] = False
+                elif i == last_i:  # every face is closed and the cuts left genus 0
+                    found = not pair_masks or pairs_cofacial()
+                else:
+                    found = dfs(i + 1, first_in[i + 1], len(others[i + 1]), c, lo, sh)
+                if found:
+                    return True
+            if merged:
+                end[head] = s
+                end[last] = t
+                length[head] = a
+                length[last] = b
         return False
 
-    found = nd // 3 >= target_f and dfs(0, list(range(nd)), [1] * nd, 0, 0, nd)
+    if fix_order:
+        found = nd // 3 >= target_f and dfs(0, first_in[0], len(others[0]), 0, 0, nd)
+    else:  # a lone vertex
+        found = not pair_masks
     del dfs  # dfs refers to itself; dropping it frees the search state now, not at the next GC
-    return tuple(chosen) if found else None
+    if not found:
+        return None
+    orders = [()] * n
+    for v in fix_order:
+        order = [adj[v][0]]
+        for _ in adj[v][1:]:
+            order.append(darts[nxt[idx[(order[-1], v)]]][1])
+        orders[v] = tuple(order)
+    return tuple(orders)

@@ -75,7 +75,8 @@ class SubdrawingCertificate:
     def from_json_dict(data: dict, graph: Graph | None = None) -> "SubdrawingCertificate":
         """Parse what to_json_dict writes.  Without a graph, the host graph
         is the uncrossed edges plus the assignment keys; anything that does
-        not parse raises MalformedCertificateError."""
+        not parse, and a face index that is not a JSON integer, raises
+        MalformedCertificateError."""
         try:
             if graph is None:
                 edges = {tuple(sorted(e)) for e in data["uncrossed"]}
@@ -90,7 +91,11 @@ class SubdrawingCertificate:
             assignment = {}
             for key, idx in data["assignment"].items():
                 u, v = (int(t) for t in key.split("-"))
-                assignment[(min(u, v), max(u, v))] = int(idx)
+                if not isinstance(idx, int) or isinstance(idx, bool):
+                    raise MalformedCertificateError(
+                        f"face index {idx!r} of {key} is not an integer"
+                    )
+                assignment[(min(u, v), max(u, v))] = idx
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise MalformedCertificateError(f"bad certificate JSON: {exc}") from exc
         return SubdrawingCertificate(graph, uncrossed, rotation, assignment)
@@ -192,48 +197,78 @@ def _maximal_feasible(g: Graph, limits: SearchLimits):
     without any embedding work).  A spanning tree is always feasible, so
     the walk yields at least one set.
 
-    Infeasibility is cached by orbit under Aut(G).  Sets are edge masks;
-    when the kernel rules a candidate H out, the masks of every image
-    sigma(H) join `infeasible`, and later candidates in that set are
-    skipped.  This is sound: sigma maps H onto sigma(H) and the crossed
-    edges E - H onto E - sigma(H), and relabelling a rotation system of H
-    by sigma gives one of sigma(H) whose faces are the relabelled faces,
-    so genus 0 and every cofacial pair carry over both ways.  sigma(H)
-    also has the same degrees, hence the same rotation count, so the
-    budget check would have passed for it too.  The walk's order and its
-    output are those of a walk without the cache.  The automorphisms' edge
-    maps are built on the first infeasible candidate only, so planar
-    inputs never pay for them.
+    Sets are edge masks with bit m-1-i for edge i, so lexicographic order
+    within a size is descending mask order.  Until the first set is
+    found a level is every combination.  After that each level is derived
+    from the one above: a set lies inside a found set exactly when one of
+    its one-edge extensions is a found set or lies inside one, so the
+    candidates of a size are the sets all of whose extensions are among
+    the sets of the size above that were neither found nor inside a found
+    set.  Once that list is empty the walk is over.
+
+    Infeasibility is cached by orbit under Aut(G).  When the kernel rules
+    a candidate H out, the masks of every image sigma(H) join
+    `infeasible`, and later candidates in that set are skipped.  This is
+    sound: sigma maps H onto sigma(H) and the crossed edges E - H onto
+    E - sigma(H), and relabelling a rotation system of H by sigma gives
+    one of sigma(H) whose faces are the relabelled faces, so genus 0 and
+    every cofacial pair carry over both ways.  sigma(H) also has the same
+    degrees, hence the same rotation count, so the budget check would have
+    passed for it too.  The walk's order and its output are those of a
+    walk without the cache.  Each edge's images under the automorphisms
+    are built on the first infeasible candidate only, so planar inputs
+    never pay for them; an orbit is then the bitwise or of its edges'
+    image columns, one per automorphism.
     """
     if not g.is_connected():
         raise ValueError("oracle search expects a connected graph")
     if g.n > limits.max_n:
         raise SearchBudgetError(f"n={g.n} exceeds max_n={limits.max_n}")
     deadline = _Deadline(limits.time_budget)
-    bit = {e: 1 << i for i, e in enumerate(g.edges)}
-    found: list[int] = []
+    m = g.m
+    bits = [1 << (m - 1 - i) for i in range(m)]
+    bit = dict(zip(g.edges, bits))
     infeasible: set[int] = set()
-    edge_maps: list[dict[Edge, int]] | None = None
+    images: dict[Edge, tuple[int, ...]] | None = None
+    above: list[int] | None = None  # the level above's sets neither found nor inside one
     for size in range(_size_cap(g), g.n - 2, -1):
-        for hedges in itertools.combinations(g.edges, size):
+        if above is None:
+            level = map(sum, itertools.combinations(bits, size))
+        else:
+            extensions: dict[int, int] = {}
+            for mask in above:
+                for b in bits:
+                    if mask & b:
+                        sub = mask ^ b
+                        extensions[sub] = extensions.get(sub, 0) + 1
+            level = sorted((sub for sub, k in extensions.items() if k == m - size), reverse=True)
+            if not level:
+                return
+        found: set[int] = set()
+        for mask in level:
             deadline.check()
-            mask = sum(bit[e] for e in hedges)
-            if any(mask | f == f for f in found):
+            if mask in infeasible:
                 continue
-            if not connected_spanning(g.n, hedges) or mask in infeasible:
+            hedges = tuple(e for e, b in zip(g.edges, bits) if mask & b)
+            if not connected_spanning(g.n, hedges):
                 continue
             crossed = tuple(e for e in g.edges if not mask & bit[e])
             orders = first_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget)
             if orders is not None:
-                found.append(mask)
+                found.add(mask)
                 yield hedges, orders
                 continue
-            if edge_maps is None:
-                edge_maps = [
-                    {(u, v): bit[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in g.edges}
-                    for p in automorphisms(g)
-                ]
-            infeasible.update(sum(em[e] for e in hedges) for em in edge_maps)
+            if images is None:
+                auts = automorphisms(g)
+                images = {
+                    (u, v): tuple(bit[(min(p[u], p[v]), max(p[u], p[v]))] for p in auts)
+                    for u, v in g.edges
+                }
+            infeasible.update(map(sum, zip(*(images[e] for e in hedges))))
+        if found or above is not None:
+            if above is None:  # the walk consumed this full level; list it again
+                level = map(sum, itertools.combinations(bits, size))
+            above = [mask for mask in level if mask not in found]
 
 
 def exact_h(

@@ -319,6 +319,27 @@ def test_render_dangling_face_index_exit_code(capsys, tmp_path):
     assert not (tmp_path / "x.svg").exists()
 
 
+@pytest.mark.parametrize("index", [4.9, "4", True])
+def test_render_non_integer_face_index_exit_code(capsys, tmp_path, index):
+    # the K_5 witness renders as written; a face index that is a float, a
+    # string or a bool is malformed, not read as the integer it resembles
+    # (True would otherwise be read as face 1 and fail only verification)
+    path = tmp_path / "k5.edgelist"
+    path.write_text(serialize_edge_list(make_complete(5)))
+    assert main(["oracle-h", "--in", str(path), "--out", str(tmp_path / "h.json")]) == 0
+    capsys.readouterr()
+    witness = json.loads((tmp_path / "h.json").read_text())["witness"]
+    assert witness["assignment"]["1-4"] == 4
+    assert _render_exit(capsys, tmp_path, witness) == 0
+    svg = tmp_path / "x.svg"
+    svg.unlink()
+    witness["assignment"]["1-4"] = index
+    (tmp_path / "cert.json").write_text(json.dumps(witness))
+    assert main(["render", "--in", str(tmp_path / "cert.json"), "--out", str(svg)]) == 4
+    assert capsys.readouterr().err == f"error: face index {index!r} of 1-4 is not an integer\n"
+    assert not svg.exists()
+
+
 def test_render_invalid_certificate_exit_code(capsys, tmp_path):
     # K_4 with every vertex's neighbours in ascending order: a torus
     # embedding, well-formed but not genus 0, so no drawing is written

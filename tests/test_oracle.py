@@ -378,7 +378,7 @@ def _reference_walk(g):
     # candidate
     found = []
     budget = DEFAULT_UNC_LIMITS.max_rotation_budget
-    for size in range(min(g.m, 3 * g.n - 6), g.n - 2, -1):
+    for size in range(g.m if g.n < 3 else min(g.m, 3 * g.n - 6), g.n - 2, -1):
         for hedges in itertools.combinations(g.edges, size):
             if any(set(hedges) <= set(f) for f, _ in found):
                 continue
@@ -403,3 +403,14 @@ def test_orbit_cache_walk_matches_reference():
         reference = _reference_walk(g)
         assert maximal_feasible_sets(g) == tuple(h for h, _ in reference), g
         assert list(oracle._maximal_feasible(g, DEFAULT_UNC_LIMITS)) == reference, g
+
+
+def test_walk_matches_reference_on_small_graphs():
+    # the derived size levels hold exactly the candidates of the reference
+    # walk, in its order: every connected graph with n <= 5, K_{3,3}, the
+    # wheel on 6 vertices, and the 6-vertex graphs with 11 to 13 edges,
+    # the smallest whose maximal sets come in more than one size
+    graphs = small_connected_corpus(5) + [make_complete_bipartite(3, 3), make_wheel(6)]
+    graphs += [g for g in connected_graphs_up_to_iso(6) if 11 <= g.m <= 13]
+    for g in graphs:
+        assert list(oracle._maximal_feasible(g, DEFAULT_UNC_LIMITS)) == _reference_walk(g), g

@@ -4,10 +4,15 @@ and the bytes of every kind of file the CLI writes, pinned."""
 import hashlib
 import json
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+sys.path.insert(0, str(Path(__file__).parent))
+from corpus_util import connected_graphs_up_to_iso
 
 from uncrossed.cli import _json_text, main
 from uncrossed.construction import construct
@@ -118,3 +123,39 @@ def test_oracle_bounds_render_files_pinned(capsys, tmp_path, name, graph):
     assert main(["bounds", "--in", str(src), "--json", str(out["bounds.json"])]) == 0
     assert main(["render", "--in", str(out["h.json"]), "--out", str(out["svg"])]) == 0
     assert {kind: _sha(path) for kind, path in out.items()} == GRAPH_SHA[name]
+
+
+# sha256 of the oracle-h and oracle-unc stdout for the seven 6-vertex graphs
+# with 12 or 13 edges, in connected_graphs_up_to_iso(6) order, as written
+# before the rotation search set one link at a time and the subset walk
+# derived each size level from the one above
+DENSE_ORACLE_SHA = [
+    ("cb1fa522096d82d1b9c5ce806c01b1353d9cb0a16fe9b734d3f928bbc708ed77",
+     "096ffb7b094d23dceeff646b480d8f16499d2e296c3c2931772d1f03e87b1599"),
+    ("a6300ebcb601f710ead0bd6c481aa3feb20cdf192b5effa88475a1064d357e90",
+     "80b0c9da354d175c1e488abfd6b12b79c72691466a9fcd284741156c90b43c47"),
+    ("dc6b149fb8837c1ca16a15d8004ff6703f697d78dfdcd2f0c1694c0ff373226a",
+     "0cdd9a05124f3fcb7abf9722eea20c2320106620eba25b2201f236225bf9f63e"),
+    ("64bbbe315b3d068696dbc3727732ac7a7b10dac43ca86f64425412bb70bc0f99",
+     "89223f7fd437131bae12d4d6f5293796bf9bec05486a0bb55c0834b9e24b1557"),
+    ("691bf291195671ca1f1a6e9148bce048d61f371c88260374df9452a52a5f7098",
+     "14f4c0aca94215425377a2a8ced2c02785b431b4b017fb1d7ef2e103d78267fb"),
+    ("ad235d9d1bf75890dd29524bb98cac356165098666031463dc48d02e2158b2d6",
+     "1ec854d27093aad220ed445ee34e408f70d126f305d3149e438473cc7325ba20"),
+    ("64288dea4407e88919fedb621d23601a6bf2c83f196404d0f4a10a7f66b0b4ef",
+     "9934c8120f19bda1f56b12fd6d1acb3a7323b40032d8f8a9e2789d6407c91872"),
+]
+
+
+def test_dense_oracle_stdout_pinned(capsys, tmp_path):
+    dense = [g for g in connected_graphs_up_to_iso(6) if g.m in (12, 13)]
+    digests = []
+    for i, graph in enumerate(dense):
+        src = tmp_path / f"{i}.edgelist"
+        src.write_text(serialize_edge_list(graph))
+        row = []
+        for command in ("oracle-h", "oracle-unc"):
+            assert main([command, "--in", str(src)]) == 0
+            row.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        digests.append(tuple(row))
+    assert digests == DENSE_ORACLE_SHA
