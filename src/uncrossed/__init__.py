@@ -31,8 +31,6 @@ from .construction import (
     layout_coordinates,
 )
 from .embedding import (
-    FaceProfile,
-    FaceSet,
     RotationSystem,
     cofacial,
     enumerate_rotation_systems,
@@ -42,8 +40,7 @@ from .embedding import (
 )
 from .graphs import (
     Graph,
-    GraphStats,
-    analyze,
+    is_triangle_free,
     make_complete,
     make_complete_bipartite,
     make_random_gnm,

@@ -3,29 +3,62 @@ uncrossed subgraph number.
 
 Core functions are purely numeric in (n, m) and optional face-length
 counts; graph-aware gating lives in evaluate_bounds.  Irrational values
-are evaluated in binary64; ceilings snap to the nearest integer when the
-argument is within 1e-9 of one, so exact-integer cases cannot drift by
-one from float noise.
+are evaluated in binary64, but every ceiling is decided exactly: its
+square roots are bracketed with math.isqrt, and the brackets are refined
+until both ends have the same ceiling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .errors import ConstructionIntegrityError, NotApplicableError
-from .graphs import Graph, analyze, complete_bipartite_parts, is_complete
-
-CEIL_GUARD = 1e-9
+from .graphs import Graph, complete_bipartite_parts, is_complete, is_triangle_free
 
 
-def guarded_ceil(x: float) -> int:
-    """Ceiling with a 1e-9 snap window around integers."""
-    r = round(x)
-    if abs(x - r) <= CEIL_GUARD:
-        return int(r)
-    return math.ceil(x)
+def _root_sum_bracket(a: int, plus: int, minus: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= (a + sqrt(plus) - sqrt(minus)) 2^bits <= hi, from
+    math.isqrt.  The root difference is rational only when the radicands
+    are equal or both perfect squares, and lo == hi exactly then."""
+    if plus == minus:
+        return a << bits, a << bits
+    p, q = math.isqrt(plus << 2 * bits), math.isqrt(minus << 2 * bits)
+    p_up = p + (p * p != plus << 2 * bits)
+    q_up = q + (q * q != minus << 2 * bits)
+    return (a << bits) + p - q_up, (a << bits) + p_up - q
+
+
+def ceil_root_sum(a: int, plus: int, minus: int, den: int) -> int:
+    """ceil((a + sqrt(plus) - sqrt(minus)) / den) for den > 0, exactly.
+
+    The bracket is refined until both its ends have the same ceiling; an
+    irrational value gets there, and a rational one is bracketed exactly.
+    """
+    bits = 64
+    while True:
+        lo, hi = _root_sum_bracket(a, plus, minus, bits)
+        c = -(-lo // (den << bits))
+        if c == -(-hi // (den << bits)):
+            return c
+        bits *= 2
+
+
+def _ceil_div_root_sum(num: int, a: int, plus: int, minus: int) -> int:
+    """ceil(num / (a + sqrt(plus) - sqrt(minus))) for num >= 0 and a
+    positive denominator, exactly, as ceil_root_sum decides it."""
+    bits = 64
+    while True:
+        lo, hi = _root_sum_bracket(a, plus, minus, bits)
+        if hi <= 0:
+            raise ConstructionIntegrityError(f"denominator of ceil({num} / x) is <= 0")
+        if lo > 0:
+            c = -(-(num << bits) // hi)
+            if c == -(-(num << bits) // lo):
+                return c
+        bits *= 2
 
 
 def _require_n3(n: int):
@@ -45,8 +78,7 @@ def unc_lower_quadratic(n: int, m: int) -> int:
     disc = (3 * n - 5) ** 2 - 4 * m
     if disc < 0:
         raise NotApplicableError(f"(3n-5)^2 = {(3*n-5)**2} < 4m = {4*m}")
-    denom = (3 * n - 5 + math.sqrt(disc)) / 2
-    return guarded_ceil(m / denom)
+    return _ceil_div_root_sum(2 * m, 3 * n - 5, disc, 0)
 
 
 def h_upper(n: int, m: int) -> float:
@@ -63,7 +95,7 @@ def unc_lower(n: int, m: int) -> int:
     denom = h_upper(n, m)
     if denom <= 0:  # stays positive for any simple graph
         raise ConstructionIntegrityError(f"denominator {denom} <= 0 for n={n}, m={m}")
-    return guarded_ceil(m / denom)
+    return _ceil_div_root_sum(m, 3 * n - 6, 6 * (n - 2), 2 * m)
 
 
 def h_upper_triangle_free(n: int, m: int) -> float:
@@ -75,17 +107,19 @@ def h_upper_triangle_free(n: int, m: int) -> float:
 
 
 def unc_lower_triangle_free(n: int, m: int) -> int:
+    """ceil(m / h_upper_triangle_free(n, m)), which is
+    ceil(2m / (4n - 8 - sqrt(2m) + sqrt(10(n-2))))."""
     denom = h_upper_triangle_free(n, m)
     if denom <= 0:
         raise ConstructionIntegrityError(f"denominator {denom} <= 0 for n={n}, m={m}")
-    return guarded_ceil(m / denom)
+    return _ceil_div_root_sum(2 * m, 4 * n - 8, 10 * (n - 2), 2 * m)
 
 
-def unc_from_h(m: int, h: float) -> int:
+def unc_from_h(m: int, h: int | Fraction) -> int:
     """ceil(m / h): uncrossed collections need at least this many drawings."""
     if h <= 0:
         raise ValueError("h must be positive")
-    return guarded_ceil(m / h)
+    return math.ceil(m / Fraction(h))
 
 
 @dataclass(frozen=True)
@@ -208,9 +242,10 @@ def alpha_bound(n: int, m: int, alpha: float) -> float:
     return 3 * n - 6 - (1 - alpha) * math.sqrt(2 * m)
 
 
-def alpha_k(alpha: float) -> int:
-    """The face-length threshold ceil(3/alpha) the scaled bound rests on."""
-    return guarded_ceil(3 / alpha)
+def alpha_k(alpha: float | Fraction) -> int:
+    """The face-length threshold ceil(3/alpha) the scaled bound rests on,
+    exact in the value alpha holds."""
+    return math.ceil(3 / Fraction(alpha))
 
 
 def exact_h_complete(n: int) -> int:
@@ -279,10 +314,10 @@ def alpha_bound_report(n: int, m: int, alpha: float) -> BoundReport:
 
 def evaluate_bounds(g: Graph, triangle_free_check: bool = False) -> list[BoundReport]:
     """Every applicable bound for a concrete graph, gates included."""
-    stats = analyze(g)
-    if not stats.connected:
+    if not g.is_connected():
         raise ValueError("bounds assume a connected graph")
-    n, m = stats.n, stats.m
+    n, m = g.n, g.m
+    triangle_free = is_triangle_free(g)
     base = {"n": n, "m": m}
     reports = [
         _report("unc_lower_quadratic", lambda: unc_lower_quadratic(n, m), dict(base)),
@@ -298,8 +333,8 @@ def evaluate_bounds(g: Graph, triangle_free_check: bool = False) -> list[BoundRe
     except NotApplicableError as exc:
         reports.append(BoundReport("best_combined_bound", None, False, str(exc), dict(base)))
 
-    if stats.triangle_free or triangle_free_check:
-        if stats.triangle_free:
+    if triangle_free or triangle_free_check:
+        if triangle_free:
             reports.append(
                 _report("h_upper_triangle_free", lambda: h_upper_triangle_free(n, m), dict(base))
             )

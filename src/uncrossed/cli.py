@@ -125,13 +125,9 @@ def cmd_bounds(args) -> int:
     g = _read_graph(args.infile)
     reports = bd.evaluate_bounds(g, triangle_free_check=args.triangle_free_check)
     rows = ["name,n,m,k,alpha,value"]
-    for r in reports:
+    for r in reports:  # the alpha column stays empty: no report here has an alpha
         k = r.params.get("k", "")
-        alpha = r.params.get("alpha", "")
-        rows.append(
-            f"{r.name},{r.params['n']},{r.params['m']},{k},"
-            f"{_num(alpha) if alpha != '' else ''},{_num(r.value)}"
-        )
+        rows.append(f"{r.name},{r.params['n']},{r.params['m']},{k},,{_num(r.value)}")
     csv = "\n".join(rows) + "\n"
     sys.stdout.write(csv)
     _write(args.csv, csv)

@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bounds import guarded_ceil, h_upper
+from .bounds import ceil_root_sum, h_upper
 from .embedding import RotationSystem, trace_faces
 from .errors import ConstructionIntegrityError, MalformedCertificateError, NotApplicableError
 from .graphs import Edge, Graph
-from .oracle import SubdrawingCertificate, verify_certificate
+from .oracle import SubdrawingCertificate, all_json_ints, verify_certificate
 
 
 @dataclass(frozen=True)
@@ -67,25 +67,31 @@ class ConstructionRecord:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ConstructionRecord":
-        """Parse what to_json_dict writes.  Missing keys, wrong types, and
+        """Parse what to_json_dict writes.  Missing keys, wrong types (n and
+        every vertex id must be JSON integers), an edge named twice, and
         crossed edges or coordinates that do not fit the graph raise
         MalformedCertificateError."""
         try:
-            graph = Graph(data["n"], tuple(tuple(e) for e in data["edges"]))
-            cert = SubdrawingCertificate.from_json_dict(data["certificate"], graph)
+            n = data["n"]
+            edges = tuple(tuple(e) for e in data["edges"])
             crossed = tuple(tuple(e) for e in data["crossed"])
+            hosts = tuple(tuple(h) for h in data["stack_hosts"])
+            if not all_json_ints((n,), *edges, *crossed, *hosts):
+                raise MalformedCertificateError("n and every vertex id must be integers")
+            graph = Graph(n, edges)
+            cert = SubdrawingCertificate.from_json_dict(data["certificate"], graph)
             coordinates = tuple((float(x), float(y)) for x, y in data["coordinates"])
             stats = data["stats"]
             record = ConstructionRecord(
                 epsilon_target=Fraction(data["epsilon"]) if data["epsilon"] is not None else None,
-                n=data["n"],
+                n=n,
                 x=data["x"],
                 x0=data["x0"],
                 graph=graph,
                 certificate=cert,
                 crossed_edges=crossed,
                 coordinates=coordinates,
-                stack_hosts=tuple(tuple(h) for h in data["stack_hosts"]),
+                stack_hosts=hosts,
                 stats=ConstructionStats(
                     m=stats["m"],
                     m_prime=stats["m_prime"],
@@ -102,6 +108,8 @@ class ConstructionRecord:
             )
         if not set(crossed) <= set(graph.edges):
             raise MalformedCertificateError("a crossed edge is not an edge of the graph")
+        if len(set(crossed)) != len(crossed):
+            raise MalformedCertificateError("a crossed edge is named twice")
         return record
 
 
@@ -111,8 +119,8 @@ def _need(cond: bool, what: str):
 
 
 def choose_x(epsilon, n: int) -> tuple[int, float]:
-    """Rim size hitting the density target: the ceiling of the root x0 of
-    3n - 3 + x(x-5)/2 = epsilon n^2.
+    """Rim size hitting the density target: the ceiling, decided exactly,
+    of the root x0 of 3n - 3 + x(x-5)/2 = epsilon n^2.
 
     Gates (exact rational arithmetic): epsilon > 0, n >= 3/epsilon, and
     epsilon <= (n-1)/(2n).
@@ -127,7 +135,8 @@ def choose_x(epsilon, n: int) -> tuple[int, float]:
     disc = Fraction(25, 4) + 2 * (eps * n * n - 3 * (n - 1))
     _need(disc > 0, f"discriminant {disc} <= 0")  # follows from n >= 3/epsilon
     x0 = 2.5 + math.sqrt(float(disc))
-    x = guarded_ceil(x0)
+    p, q = disc.numerator, disc.denominator
+    x = ceil_root_sum(5 * q, 4 * p * q, 0, 2 * q)  # 5/2 + sqrt(p/q) = (5q + sqrt(4pq)) / 2q
     _need(3 <= x <= n - 1, f"clamp should be unreachable, got x={x}")
     return x, x0
 
@@ -187,7 +196,7 @@ def build_construction(
     rotation = RotationSystem(Graph(n, tuple(uncrossed)), tuple(tuple(o) for o in orders))
     final_faces = trace_faces(rotation)
     rim = set(range(1, x + 1))
-    outer = [i for i, f in enumerate(final_faces.faces) if f.vertices <= rim]
+    outer = [i for i, f in enumerate(final_faces) if f.vertices <= rim]
     _need(len(outer) == 1, f"{len(outer)} rim-only faces, not 1")
     assignment = {e: outer[0] for e in crossed}
     certificate = SubdrawingCertificate(graph, tuple(uncrossed), rotation, assignment)
@@ -198,7 +207,7 @@ def build_construction(
     _need(m == 3 * n - 3 + x * (x - 5) // 2, "edge count identity failed")
     _need(m_prime == 3 * n - 3 - x, "m' identity failed")
     _need(t == 2 * n - 2 - x, "triangle count identity failed")
-    _need(final_faces.f == t + 1, "face count identity failed")
+    _need(len(final_faces) == t + 1, "face count identity failed")
     _need(2 * m >= x * x, "sqrt(2m) >= x failed")
 
     record = ConstructionRecord(
@@ -211,7 +220,7 @@ def build_construction(
         crossed_edges=tuple(crossed),
         coordinates=(),
         stack_hosts=tuple(hosts),
-        stats=ConstructionStats(m, m_prime, t, final_faces.f, Fraction(m, n * n)),
+        stats=ConstructionStats(m, m_prime, t, len(final_faces), Fraction(m, n * n)),
     )
     return replace(record, coordinates=layout_coordinates(record))
 

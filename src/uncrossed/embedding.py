@@ -60,32 +60,13 @@ class Face:
         return len(self.walk)
 
 
-@dataclass(frozen=True)
-class FaceSet:
-    graph: Graph
-    faces: tuple[Face, ...]
-
-    @property
-    def f(self) -> int:
-        return len(self.faces)
-
-
-@dataclass(frozen=True)
-class FaceProfile:
-    """Counts s_l of faces by walk length l; f is the total face count."""
-
-    s: dict[int, int]
-    f: int
-
-
-def trace_faces(r: RotationSystem) -> FaceSet:
+def trace_faces(r: RotationSystem) -> tuple[Face, ...]:
     """Partition all directed edges into facial walks.
 
     Faces are emitted in lexicographic order of their smallest directed
     edge, and each walk starts at that edge.
     """
-    g = r.graph
-    darts = sorted(d for u, v in g.edges for d in ((u, v), (v, u)))
+    darts = sorted(d for u, v in r.graph.edges for d in ((u, v), (v, u)))
     succ = {}
     for v, cyc in enumerate(r.order):
         d = len(cyc)
@@ -103,7 +84,7 @@ def trace_faces(r: RotationSystem) -> FaceSet:
             walk.append(cur)
             cur = succ[cur]
         faces.append(Face(tuple(walk), frozenset(u for u, _ in walk)))
-    return FaceSet(g, tuple(faces))
+    return tuple(faces)
 
 
 def genus(r: RotationSystem) -> int:
@@ -111,28 +92,29 @@ def genus(r: RotationSystem) -> int:
     g = r.graph
     if not g.is_connected():
         raise ValueError("genus is only defined here for connected graphs")
-    f = trace_faces(r).f if g.m > 0 else 1  # a lone vertex spans one face
+    f = len(trace_faces(r)) if g.m > 0 else 1  # a lone vertex spans one face
     val = 2 - g.n + g.m - f
     if val % 2 != 0 or val < 0:
         raise AssertionError(f"impossible Euler count n={g.n} m={g.m} f={f}")
     return val // 2
 
 
-def face_profile(fs: FaceSet) -> FaceProfile:
+def face_profile(faces: tuple[Face, ...]) -> dict[int, int]:
+    """Counts s_l of faces by walk length l, in ascending l."""
     s: dict[int, int] = {}
-    for face in fs.faces:
+    for face in faces:
         length = len(face)
         if length < 3:
             raise ValueError(f"face of length {length}: corrupt face set")
         s[length] = s.get(length, 0) + 1
-    return FaceProfile(s=dict(sorted(s.items())), f=len(fs.faces))
+    return dict(sorted(s.items()))
 
 
-def cofacial(fs: FaceSet, u: int, v: int) -> bool:
+def cofacial(faces: tuple[Face, ...], u: int, v: int) -> bool:
     """True iff some face is incident to both u and v."""
     if u == v:
         raise ValueError("cofacial needs two distinct vertices")
-    return any(u in face.vertices and v in face.vertices for face in fs.faces)
+    return any(u in face.vertices and v in face.vertices for face in faces)
 
 
 def rotation_count(g: Graph) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ParseError
 
@@ -117,15 +116,6 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    n: int
-    m: int
-    density: Fraction  # m / n^2, exact
-    connected: bool
-    triangle_free: bool
-
-
 def make_complete(n: int) -> Graph:
     """K_n."""
     if n < 1:
@@ -172,20 +162,10 @@ def make_random_gnm(n: int, m: int, seed: int) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def analyze(g: Graph) -> GraphStats:
-    """Connectivity and triangle-freeness, plus the exact density m/n^2."""
-    adj_sets = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        adj_sets[u].add(v)
-        adj_sets[v].add(u)
-    triangle_free = all(not (adj_sets[u] & adj_sets[v]) for u, v in g.edges)
-    return GraphStats(
-        n=g.n,
-        m=g.m,
-        density=Fraction(g.m, g.n * g.n),
-        connected=g.is_connected(),
-        triangle_free=triangle_free,
-    )
+def is_triangle_free(g: Graph) -> bool:
+    """True iff no two adjacent vertices have a common neighbor."""
+    adj = [set(a) for a in g.adjacency()]
+    return all(not (adj[u] & adj[v]) for u, v in g.edges)
 
 
 def is_complete(g: Graph) -> bool:

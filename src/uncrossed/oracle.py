@@ -23,6 +23,7 @@ works when the vertices are fixed in ascending (degree, vertex) order.
 from __future__ import annotations
 
 import itertools
+import re
 import time
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ from .embedding import (
     ROTATION_BUDGET_DEFAULT,
     RotationSystem,
     first_planar_rotation,
-    genus,
     trace_faces,
 )
 from .errors import MalformedCertificateError, SearchBudgetError
@@ -53,6 +53,13 @@ class SearchLimits:
 DEFAULT_LIMITS = SearchLimits()
 DEFAULT_UNC_LIMITS = SearchLimits(max_n=6)
 
+_EDGE_KEY = re.compile(r"([0-9]+)-([0-9]+)")
+
+
+def all_json_ints(*rows) -> bool:
+    """True iff every item of every row is a JSON integer; a bool is not."""
+    return all(type(x) is int for row in rows for x in row)
+
 
 @dataclass(frozen=True)
 class SubdrawingCertificate:
@@ -74,28 +81,36 @@ class SubdrawingCertificate:
     @staticmethod
     def from_json_dict(data: dict, graph: Graph | None = None) -> "SubdrawingCertificate":
         """Parse what to_json_dict writes.  Without a graph, the host graph
-        is the uncrossed edges plus the assignment keys; anything that does
-        not parse, and a face index that is not a JSON integer, raises
-        MalformedCertificateError."""
+        is the uncrossed edges plus the assignment keys.  n, every vertex id
+        and every face index must be a JSON integer, every assignment key
+        decimal digits "<u>-<v>", and no edge may be named twice; anything
+        else raises MalformedCertificateError."""
         try:
-            if graph is None:
-                edges = {tuple(sorted(e)) for e in data["uncrossed"]}
-                for key in data.get("assignment", {}):
-                    u, v = (int(t) for t in key.split("-"))
-                    edges.add((min(u, v), max(u, v)))
-                graph = Graph(data["n"], tuple(sorted(edges)))
-            uncrossed = tuple(sorted((min(u, v), max(u, v)) for u, v in data["uncrossed"]))
-            rotation = RotationSystem(
-                Graph(data["n"], uncrossed), tuple(tuple(c) for c in data["rotation"])
-            )
+            n = data["n"]
+            pairs = [tuple(e) for e in data["uncrossed"]]
+            orders = tuple(tuple(c) for c in data["rotation"])
+            if not all_json_ints((n,), *pairs, *orders):
+                raise MalformedCertificateError("n and every vertex id must be integers")
+            uncrossed = tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
+            named = set(uncrossed)
             assignment = {}
             for key, idx in data["assignment"].items():
-                u, v = (int(t) for t in key.split("-"))
-                if not isinstance(idx, int) or isinstance(idx, bool):
+                match = _EDGE_KEY.fullmatch(key)
+                if match is None:
+                    raise MalformedCertificateError(f"assignment key {key!r} is not <u>-<v>")
+                u, v = int(match[1]), int(match[2])
+                e = (min(u, v), max(u, v))
+                if e in named:
+                    raise MalformedCertificateError(f"edge {key} is named twice")
+                if type(idx) is not int:
                     raise MalformedCertificateError(
                         f"face index {idx!r} of {key} is not an integer"
                     )
-                assignment[(min(u, v), max(u, v))] = idx
+                named.add(e)
+                assignment[e] = idx
+            if graph is None:
+                graph = Graph(n, tuple(sorted(named)))
+            rotation = RotationSystem(Graph(n, uncrossed), orders)
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise MalformedCertificateError(f"bad certificate JSON: {exc}") from exc
         return SubdrawingCertificate(graph, uncrossed, rotation, assignment)
@@ -119,18 +134,21 @@ def verify_certificate(cert: SubdrawingCertificate) -> bool:
     if set(cert.face_assignment) != missing:
         raise MalformedCertificateError("assignment keys must be exactly the crossed edges")
     faces = trace_faces(cert.rotation)
+    f = len(faces)
     for e, idx in cert.face_assignment.items():
-        if not isinstance(idx, int) or not 0 <= idx < faces.f:
+        if not isinstance(idx, int) or not 0 <= idx < f:
             raise MalformedCertificateError(f"dangling face index {idx} for edge {e}")
 
     if not connected_spanning(g.n, hset):
         return False
-    if genus(cert.rotation) != 0:
+    # Euler: a connected (V, H) has genus 0 iff it has 2 - n + |H| faces,
+    # and a lone vertex spans one face
+    if (f if hset else 1) != 2 - g.n + len(hset):
         return False
     if g.n >= 3 and len(hset) > 3 * g.n - 6:
         return False
     for (u, v), idx in cert.face_assignment.items():
-        verts = faces.faces[idx].vertices
+        verts = faces[idx].vertices
         if u not in verts or v not in verts:
             return False
     return True
@@ -160,7 +178,7 @@ def _witness(
     assignment = {}
     for e in _crossed(g, hedges):
         u, v = e
-        for i, face in enumerate(faces.faces):
+        for i, face in enumerate(faces):
             if u in face.vertices and v in face.vertices:
                 assignment[e] = i
                 break

@@ -51,10 +51,8 @@ def barycentric_layout(cert: SubdrawingCertificate) -> list[tuple[float, float]]
     n = rotation.graph.n
     if rotation.graph.m == 0:  # no faces to trace: a lone vertex sits at the centre
         return [(0.0, 0.0)] * n
-    faces = trace_faces(rotation)
-    outer_walk = faces.faces[0].walk
     outer: list[int] = []
-    for u, _ in outer_walk:
+    for u, _ in trace_faces(rotation)[0].walk:
         if u not in outer:
             outer.append(u)
     coords = [(0.0, 0.0)] * n

@@ -131,9 +131,9 @@ def _bound_checks(g: Graph, h: int, unc: int, witness) -> None:
     assert unc >= max(lowers)
 
     prof = face_profile(trace_faces(witness.rotation))
-    assert sum((l - 2) * c for l, c in prof.s.items()) == 2 * n - 4
+    assert sum((l - 2) * c for l, c in prof.items()) == 2 * n - 4
     for k in range(3, 2 * n + 1):
-        fc = FaceCounts.from_profile(k, prof.s)
+        fc = FaceCounts.from_profile(k, prof)
         cb = complex_bound(n, m, fc)
         assert cb.feasible, f"infeasible s-vector at k={k} for {g.edges}"
         assert cb.b_minus - 1e-9 <= h <= cb.b_plus + 1e-9
@@ -191,13 +191,13 @@ def test_criterion_5_euler_face_properties():
                 rng.shuffle(a)
                 orders.append(tuple(a))
             r = RotationSystem(g, tuple(orders))
-            fs = trace_faces(r)
-            assert sum(len(f) for f in fs.faces) == 2 * g.m
+            faces = trace_faces(r)
+            assert sum(len(f) for f in faces) == 2 * g.m
             gen = genus(r)  # raises on non-integer or negative genus
             assert gen >= 0
             if gen == 0:
-                prof = face_profile(fs)
-                assert sum((l - 2) * c for l, c in prof.s.items()) == 2 * g.n - 4
+                prof = face_profile(faces)
+                assert sum((l - 2) * c for l, c in prof.items()) == 2 * g.n - 4
             checked += 1
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,6 @@ from uncrossed.bounds import (
     exact_h_complete,
     exact_h_complete_bipartite,
     exact_unc_complete,
-    guarded_ceil,
     h_upper,
     h_upper_triangle_free,
     simple_bound,
@@ -28,12 +28,64 @@ from uncrossed.errors import NotApplicableError
 from uncrossed.graphs import make_complete, make_complete_bipartite
 
 
-def test_guarded_ceil():
-    assert guarded_ceil(2.0) == 2
-    assert guarded_ceil(2.0000000001) == 2  # inside the snap window
-    assert guarded_ceil(1.9999999999) == 2
-    assert guarded_ceil(2.1) == 3
-    assert guarded_ceil(0.0) == 0
+def test_ceilings_exact_at_integers():
+    # quotients that are integers exactly, where a float can land either side
+    assert unc_lower(10, 24) == 1  # m = 3n - 6: the two roots cancel
+    assert unc_lower(8, 72) == 6  # 72 / (18 - sqrt(144) + sqrt(36))
+    assert unc_lower_quadratic(3, 4) == 2  # zero discriminant: 4 / 2
+    assert unc_lower_quadratic(3, 3) == 1  # 3 / ((4 + sqrt(4)) / 2)
+    assert unc_lower_triangle_free(7, 25) == 3  # m = 5(n - 2): 25 / 10, the roots cancel
+    assert unc_lower_triangle_free(12, 800) == 160  # 800 / (20 - sqrt(400) + sqrt(25))
+    assert unc_from_h(10, Fraction(10, 3)) == 3
+    assert alpha_k(Fraction(3, 5)) == 5
+    assert unc_lower(3, 0) == unc_lower_quadratic(9, 0) == 0
+
+
+def test_unc_lower_705():
+    # m / h_upper is 13 + 7.29e-10, inside the old float snap's 1e-9 window
+    assert unc_lower(705, 25335) == 14
+
+
+def _at_least(t: Fraction, plus: int, minus: int) -> bool:
+    """t + sqrt(plus) >= sqrt(minus), decided by squaring both sides."""
+    if t < 0 and t * t > plus:  # the left side is negative
+        return False
+    u = minus - t * t - plus  # both sides are >= 0: is 2 t sqrt(plus) >= u?
+    if t >= 0:
+        return u <= 0 or 4 * t * t * plus >= u * u
+    return u <= 0 and u * u >= 4 * t * t * plus
+
+
+def _ceil_div_reference(num: int, c: int, plus: int, minus: int) -> int:
+    """ceil(num / (c + sqrt(plus) - sqrt(minus))): the least k >= 0 with
+    k (c + sqrt(plus) - sqrt(minus)) >= num, for a positive denominator."""
+    k = 0
+    while not (k * c >= num if k == 0 else _at_least(c - Fraction(num, k), plus, minus)):
+        k += 1
+    return k
+
+
+def test_ceilings_match_exact_reference_near_integers():
+    # every (n, m), n < 250, whose float quotient lies within 1e-7 of an
+    # integer, against a reference that never brackets a root
+    near = []
+    root2m = [math.sqrt(2 * m) for m in range(250 * 249 // 2 + 1)]
+    for n in range(3, 250):
+        ms = range(n - 1, n * (n - 1) // 2 + 1)
+        c = 3 * n - 6 + math.sqrt(6 * (n - 2))
+        near += [(unc_lower, n, m, m, 3 * n - 6, 6 * (n - 2), 2 * m)
+                 for m in ms if abs((x := m / (c - root2m[m])) - round(x)) <= 1e-7]
+        b = 3 * n - 5
+        near += [(unc_lower_quadratic, n, m, 2 * m, b, b * b - 4 * m, 0)
+                 for m in ms if 4 * m <= b * b
+                 and abs((x := 2 * m / (b + math.sqrt(b * b - 4 * m))) - round(x)) <= 1e-7]
+        c = 4 * n - 8 + math.sqrt(10 * (n - 2))
+        near += [(unc_lower_triangle_free, n, m, 2 * m, 4 * n - 8, 10 * (n - 2), 2 * m)
+                 for m in ms if c > root2m[m]
+                 and abs((x := 2 * m / (c - root2m[m])) - round(x)) <= 1e-7]
+    assert len(near) == 5691
+    for fn, n, m, num, c, plus, minus in near:
+        assert fn(n, m) == _ceil_div_reference(num, c, plus, minus), (fn.__name__, n, m)
 
 
 def test_unc_lower_quadratic():
@@ -80,6 +132,7 @@ def test_unc_from_h():
     assert unc_from_h(10, 8) == 2
     assert unc_from_h(28, 14) == 2
     assert unc_from_h(7, 7) == 1
+    assert unc_from_h(7, Fraction(7, 2)) == 2
     with pytest.raises(ValueError):
         unc_from_h(5, 0)
 

@@ -340,6 +340,44 @@ def test_render_non_integer_face_index_exit_code(capsys, tmp_path, index):
     assert not svg.exists()
 
 
+K2_CERT = {"n": 2, "uncrossed": [[0, 1]], "rotation": [[1], [0]], "assignment": {}}
+ONE_VERTEX_RECORD = {
+    "kind": "construction", "epsilon": None, "n": 1, "x": 3, "x0": None, "edges": [],
+    "crossed": [], "certificate": {"n": 1, "uncrossed": [], "rotation": [[]], "assignment": {}},
+    "coordinates": [[0.0, 0.0]], "stack_hosts": [],
+    "stats": {"m": 0, "m_prime": 0, "t": 0, "f": 0, "density": "0"},
+}
+PATH3_RECORD = dict(
+    ONE_VERTEX_RECORD, n=3, edges=[[0, 1], [0, 2], [1, 2]], crossed=[[0, 2]],
+    certificate=PATH3_CERT, coordinates=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+)
+
+
+@pytest.mark.parametrize("payload", [K2_CERT, PATH3_CERT, ONE_VERTEX_RECORD, PATH3_RECORD])
+def test_render_strict_json_valid_inputs(capsys, tmp_path, payload):
+    # the inputs the loose variants below are made from all render
+    assert _render_exit(capsys, tmp_path, payload) == 0
+
+
+@pytest.mark.parametrize("payload", [
+    {"witness": dict(K2_CERT, uncrossed=[[False, True]])},
+    {"witness": dict(K2_CERT, rotation=[[True], [False]])},
+    dict(K2_CERT, n=True),
+    dict(ONE_VERTEX_RECORD, n=True),
+    dict(PATH3_RECORD, edges=[[0, 1], [0, 2], [True, 2]]),
+    dict(PATH3_RECORD, crossed=[[0, 2], [0, 2]]),
+    dict(PATH3_CERT, assignment={"+0-2": 0}),
+    dict(PATH3_CERT, assignment={" 0-2": 0}),
+    dict(PATH3_CERT, assignment={"0-2": 0, "2-0": 0}),
+    dict(PATH3_CERT, assignment={"0-2": 0, "0-1": 0}),
+])
+def test_render_loose_json_exit_code(capsys, tmp_path, payload):
+    # a bool is not a vertex id, an assignment key is "<digits>-<digits>",
+    # and no edge is named twice
+    assert _render_exit(capsys, tmp_path, payload) == 4
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_render_invalid_certificate_exit_code(capsys, tmp_path):
     # K_4 with every vertex's neighbours in ascending order: a torus
     # embedding, well-formed but not genus 0, so no drawing is written

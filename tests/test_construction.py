@@ -74,9 +74,9 @@ def test_identities_and_certificates(x, n):
     assert rec.stats.t == 2 * n - 2 - x
     assert verify_certificate(rec.certificate)
     prof = face_profile(trace_faces(rec.certificate.rotation))
-    assert sum((l - 2) * c for l, c in prof.s.items()) == 2 * n - 4
+    assert sum((l - 2) * c for l, c in prof.items()) == 2 * n - 4
     expected_s3 = rec.stats.t + (1 if x == 3 else 0)
-    assert prof.s[3] == expected_s3
+    assert prof[3] == expected_s3
 
 
 def test_full_parameter_sweep():

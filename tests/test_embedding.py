@@ -75,27 +75,27 @@ def test_rotation_validation():
 
 def test_trace_cycle():
     c5 = cycle_graph(5)
-    fs = trace_faces(unique_rotation(c5))
-    assert fs.f == 2
-    assert sorted(len(f) for f in fs.faces) == [5, 5]
-    assert sum(len(f) for f in fs.faces) == 2 * c5.m
+    faces = trace_faces(unique_rotation(c5))
+    assert len(faces) == 2
+    assert sorted(len(f) for f in faces) == [5, 5]
+    assert sum(len(f) for f in faces) == 2 * c5.m
 
 
 def test_trace_k4_planar():
     # any planar rotation of K_4 gives four triangles
     for r in enumerate_rotation_systems(make_complete(4)):
-        fs = trace_faces(r)
-        if fs.f == 4:
-            assert all(len(f) == 3 for f in fs.faces)
+        faces = trace_faces(r)
+        if len(faces) == 4:
+            assert all(len(f) == 3 for f in faces)
             break
     else:
         pytest.fail("no planar rotation of K_4 found")
 
 
 def test_trace_path_single_face():
-    fs = trace_faces(unique_rotation(path_graph(3)))
-    assert fs.f == 1
-    assert len(fs.faces[0]) == 4
+    faces = trace_faces(unique_rotation(path_graph(3)))
+    assert len(faces) == 1
+    assert len(faces[0]) == 4
 
 
 def test_genus_examples():
@@ -104,7 +104,7 @@ def test_genus_examples():
     assert genera[0] == 0 and genera[-1] == 1  # both kinds occur
     f_by_genus = {}
     for r in enumerate_rotation_systems(k4):
-        f_by_genus.setdefault(genus(r), trace_faces(r).f)
+        f_by_genus.setdefault(genus(r), len(trace_faces(r)))
     assert f_by_genus[1] == 2
     assert genus(unique_rotation(path_graph(5))) == 0
     with pytest.raises(ValueError):
@@ -113,9 +113,10 @@ def test_genus_examples():
 
 def test_face_profile():
     k4_planar = next(r for r in enumerate_rotation_systems(make_complete(4)) if genus(r) == 0)
-    prof = face_profile(trace_faces(k4_planar))
-    assert prof.s == {3: 4} and prof.f == 4
-    assert sum((l - 2) * c for l, c in prof.s.items()) == 2 * 4 - 4
+    faces = trace_faces(k4_planar)
+    prof = face_profile(faces)
+    assert prof == {3: 4} and len(faces) == 4
+    assert sum((l - 2) * c for l, c in prof.items()) == 2 * 4 - 4
 
     cube = Graph.from_edges(8, [(i, (i + 1) % 4) for i in range(4)]
                             + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]
@@ -123,27 +124,27 @@ def test_face_profile():
     r = RotationSystem(cube, CUBE_ORDER)
     assert genus(r) == 0
     prof = face_profile(trace_faces(r))
-    assert prof.s == {4: 6}
-    assert sum((l - 2) * c for l, c in prof.s.items()) == 2 * 8 - 4
+    assert prof == {4: 6}
+    assert sum((l - 2) * c for l, c in prof.items()) == 2 * 8 - 4
 
-    assert face_profile(trace_faces(unique_rotation(cycle_graph(5)))).s == {5: 2}
+    assert face_profile(trace_faces(unique_rotation(cycle_graph(5)))) == {5: 2}
 
 
 def test_face_profile_rejects_short_faces():
     k2 = Graph(2, ((0, 1),))
-    fs = trace_faces(unique_rotation(k2))
+    faces = trace_faces(unique_rotation(k2))
     with pytest.raises(ValueError):
-        face_profile(fs)
+        face_profile(faces)
 
 
 def test_cofacial():
     w5 = make_wheel(5)
-    fs = trace_faces(RotationSystem(w5, W5_ORDER))
-    assert cofacial(fs, 1, 3)  # opposite rim vertices share the outer face
-    assert cofacial(fs, 2, 4)
+    faces = trace_faces(RotationSystem(w5, W5_ORDER))
+    assert cofacial(faces, 1, 3)  # opposite rim vertices share the outer face
+    assert cofacial(faces, 2, 4)
     k4_planar = next(r for r in enumerate_rotation_systems(make_complete(4)) if genus(r) == 0)
-    fs4 = trace_faces(k4_planar)
-    assert all(cofacial(fs4, u, v) for u in range(4) for v in range(u + 1, 4))
+    faces4 = trace_faces(k4_planar)
+    assert all(cofacial(faces4, u, v) for u in range(4) for v in range(u + 1, 4))
     tree = trace_faces(unique_rotation(path_graph(6)))
     assert all(cofacial(tree, u, v) for u in range(6) for v in range(u + 1, 6))
 
@@ -184,14 +185,14 @@ def test_handshake_and_genus_properties(n, seed, extra):
     if not g.is_connected():
         return
     r = random_rotation(g, seed)
-    fs = trace_faces(r)
-    assert sum(len(f) for f in fs.faces) == 2 * g.m
-    for face in fs.faces:
+    faces = trace_faces(r)
+    assert sum(len(f) for f in faces) == 2 * g.m
+    for face in faces:
         assert 3 <= len(face.vertices) <= len(face)
     assert genus(r) >= 0  # also asserts integrality internally
     if genus(r) == 0:
-        prof = face_profile(fs)
-        assert sum((l - 2) * c for l, c in prof.s.items()) == 2 * g.n - 4
+        prof = face_profile(faces)
+        assert sum((l - 2) * c for l, c in prof.items()) == 2 * g.n - 4
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,7 +207,7 @@ def test_count_once_on_planar_nontrees(n, seed, extra):
     r = random_rotation(g, seed)
     if genus(r) != 0:
         return
-    for face in trace_faces(r).faces:
+    for face in trace_faces(r):
         counts = {}
         for u, v in face.walk:
             e = (min(u, v), max(u, v))

@@ -1,6 +1,5 @@
 import itertools
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,11 +11,11 @@ from corpus_util import small_connected_corpus
 from uncrossed.errors import ParseError
 from uncrossed.graphs import (
     Graph,
-    analyze,
     automorphisms,
     complete_bipartite_parts,
     connected_spanning,
     is_complete,
+    is_triangle_free,
     make_complete,
     make_complete_bipartite,
     make_random_gnm,
@@ -31,8 +30,7 @@ def test_complete_edge_counts():
     assert make_complete(5).m == 10
     g = make_complete(10)
     assert g.m == 45
-    stats = analyze(g)
-    assert stats.connected and not stats.triangle_free
+    assert g.is_connected() and not is_triangle_free(g)
 
 
 def test_complete_rejects_zero():
@@ -43,10 +41,10 @@ def test_complete_rejects_zero():
 def test_complete_bipartite():
     g = make_complete_bipartite(3, 3)
     assert g.m == 9
-    assert analyze(g).triangle_free
+    assert is_triangle_free(g)
     assert make_complete_bipartite(2, 3).m == 6
     star = make_complete_bipartite(1, 4)
-    assert star.m == 4 and analyze(star).connected
+    assert star.m == 4 and star.is_connected()
     with pytest.raises(ValueError):
         make_complete_bipartite(0, 3)
 
@@ -89,13 +87,14 @@ def test_gnm_valid_and_pure(n, seed, frac):
     assert g == make_random_gnm(n, m, seed)
 
 
-def test_analyze():
-    s = analyze(make_complete(4))
-    assert s.connected and not s.triangle_free
-    assert s.density == Fraction(6, 16)
-    assert analyze(make_complete_bipartite(3, 3)).triangle_free
+def test_is_triangle_free():
+    k4 = make_complete(4)
+    assert k4.is_connected() and not is_triangle_free(k4)
+    assert is_triangle_free(make_complete_bipartite(3, 3))
+    assert is_triangle_free(Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))  # C_5
+    assert not is_triangle_free(make_wheel(6))
     two_edges = Graph(4, ((0, 1), (2, 3)))
-    assert not analyze(two_edges).connected
+    assert not two_edges.is_connected() and is_triangle_free(two_edges)
 
 
 def test_parse_basics():

@@ -46,7 +46,7 @@ def wheel_certificate_in_k5():
     wheel_edges = make_wheel(5).edges
     rotation = RotationSystem(Graph(5, wheel_edges), W5_ORDER)
     faces = trace_faces(rotation)
-    outer = next(i for i, f in enumerate(faces.faces) if len(f) == 4)
+    outer = next(i for i, f in enumerate(faces) if len(f) == 4)
     return k5, SubdrawingCertificate(
         k5, wheel_edges, rotation, {(1, 3): outer, (2, 4): outer}
     )
@@ -65,7 +65,7 @@ def test_verify_k5_wheel_certificate():
 def test_verify_rejects_wrong_face():
     k5, cert = wheel_certificate_in_k5()
     faces = trace_faces(cert.rotation)
-    triangle = next(i for i, f in enumerate(faces.faces)
+    triangle = next(i for i, f in enumerate(faces)
                     if len(f) == 3 and not {1, 3} <= f.vertices)
     bad = SubdrawingCertificate(k5, cert.uncrossed, cert.rotation,
                                 {(1, 3): triangle, (2, 4): cert.face_assignment[(2, 4)]})
@@ -93,6 +93,22 @@ def test_verify_rejects_genus_one_rotation():
     assert not verify_certificate(SubdrawingCertificate(k4, k4.edges, rotation, {}))
 
 
+def test_verify_genus_from_one_trace_matches_genus(monkeypatch):
+    # verify_certificate reads genus 0 off its own face trace: on every
+    # rotation system of these graphs it agrees with genus(), and it traces
+    # each certificate once
+    traced = []
+    monkeypatch.setattr(oracle, "trace_faces", lambda r: traced.append(r) or trace_faces(r))
+    for g, count in ((make_complete(4), 16), (make_complete_bipartite(2, 3), 4),
+                     (make_wheel(5), 96), (CUBE, 256)):
+        systems = list(enumerate_rotation_systems(g))
+        assert len(systems) == count
+        for r in systems:
+            traced.clear()
+            assert verify_certificate(SubdrawingCertificate(g, g.edges, r, {})) == (genus(r) == 0)
+            assert traced == [r]
+
+
 def test_verify_rejects_disconnected_uncrossed_part():
     k4 = make_complete(4)
     halves = ((0, 1), (2, 3))
@@ -116,7 +132,7 @@ def test_feasible_examples():
     cert = feasible(k4, k4.edges)
     assert cert is not None and len(cert.face_assignment) == 0
     faces = trace_faces(cert.rotation)
-    assert faces.f == 4 and all(len(f) == 3 for f in faces.faces)
+    assert len(faces) == 4 and all(len(f) == 3 for f in faces)
 
     k5 = make_complete(5)
     assert feasible(k5, k5.edges) is None  # K_5 has no planar embedding
