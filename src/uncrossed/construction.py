@@ -67,9 +67,11 @@ class ConstructionRecord:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ConstructionRecord":
-        """Parse what to_json_dict writes.  Missing keys, wrong types (n and
-        every vertex id must be JSON integers), an edge named twice, and
-        crossed edges or coordinates that do not fit the graph raise
+        """Parse what to_json_dict writes.  Missing keys, wrong types (n, x,
+        every vertex id and every stats count must be JSON integers, x0 a
+        number or null, epsilon a fraction string or null and density a
+        fraction string), an edge named twice, and crossed edges or
+        coordinates that do not fit the graph raise
         MalformedCertificateError."""
         try:
             n = data["n"]
@@ -78,15 +80,23 @@ class ConstructionRecord:
             hosts = tuple(tuple(h) for h in data["stack_hosts"])
             if not all_json_ints((n,), *edges, *crossed, *hosts):
                 raise MalformedCertificateError("n and every vertex id must be integers")
+            stats = data["stats"]
+            if not all_json_ints((data["x"], stats["m"], stats["m_prime"], stats["t"], stats["f"])):
+                raise MalformedCertificateError("x and every stats count must be integers")
+            x0 = data["x0"]
+            if x0 is not None and not (type(x0) in (int, float) and math.isfinite(x0)):
+                raise MalformedCertificateError(f"x0 {x0!r} is not a number")
+            epsilon = data["epsilon"]
+            if not (epsilon is None or type(epsilon) is str) or type(stats["density"]) is not str:
+                raise MalformedCertificateError("epsilon and density must be fraction strings")
             graph = Graph(n, edges)
             cert = SubdrawingCertificate.from_json_dict(data["certificate"], graph)
             coordinates = tuple((float(x), float(y)) for x, y in data["coordinates"])
-            stats = data["stats"]
             record = ConstructionRecord(
-                epsilon_target=Fraction(data["epsilon"]) if data["epsilon"] is not None else None,
+                epsilon_target=Fraction(epsilon) if epsilon is not None else None,
                 n=n,
                 x=data["x"],
-                x0=data["x0"],
+                x0=x0,
                 graph=graph,
                 certificate=cert,
                 crossed_edges=crossed,

@@ -18,6 +18,15 @@ the independent check for the closed-form bounds, so it must not consult
 them.  Each candidate subset is searched once, and a set the walk returns
 keeps that search's hit as its witness: the first rotation system that
 works when the vertices are fixed in ascending (degree, vertex) order.
+
+unc(G) is at least ceil(m / h(G)), and exact_unc stops the walk at the
+end of the first size level whose sets hold a cover by that many; it
+walks every level only when none does.  Its cover is the first that the
+cover search meets among the sets walked so far: branch on the lowest
+uncovered edge and try the sets that hold it in walk order.  The search
+reads the sets as one int column per edge, so the last pick is the
+lowest bit of an AND of columns.  On K_6 this takes 99 kernel searches
+where the full walk takes 668.
 """
 
 from __future__ import annotations
@@ -200,14 +209,19 @@ def feasible(
     return None if orders is None else _witness(g, hedges, orders)
 
 
+_LEVEL_END = None  # the walk's mark after the last set of a size level
+
+
 def _size_cap(g: Graph) -> int:
     return g.m if g.n < 3 else min(g.m, 3 * g.n - 6)
 
 
-def _maximal_feasible(g: Graph, limits: SearchLimits):
+def _walk(g: Graph, limits: SearchLimits):
     """Yield (edges, orders) for every inclusion-maximal feasible set,
     largest first and lexicographically within a size; orders are the
     cyclic orders of the kernel's first hit on the set, its witness.
+    After the last set of each size level that holds one, yield
+    _LEVEL_END: every set yielded so far is final by then.
 
     Scanning sizes downward makes maximality checks local: a candidate
     is maximal iff it is feasible and not contained in a set already
@@ -283,10 +297,17 @@ def _maximal_feasible(g: Graph, limits: SearchLimits):
                     for u, v in g.edges
                 }
             infeasible.update(map(sum, zip(*(images[e] for e in hedges))))
+        if found:
+            yield _LEVEL_END
         if found or above is not None:
             if above is None:  # the walk consumed this full level; list it again
                 level = map(sum, itertools.combinations(bits, size))
             above = [mask for mask in level if mask not in found]
+
+
+def _maximal_feasible(g: Graph, limits: SearchLimits):
+    """The walk's maximal sets without its level ends."""
+    return (item for item in _walk(g, limits) if item is not _LEVEL_END)
 
 
 def exact_h(
@@ -310,23 +331,44 @@ def maximal_feasible_sets(
 
 
 def _find_cover(masks: list[int], full: int, k: int) -> list[int] | None:
-    """First (in index order) cover of `full` using at most k masks."""
-    max_bits = max(bin(m).count("1") for m in masks)
+    """First cover of `full` by at most k masks, in the order of a
+    depth-first search that branches on the lowest uncovered bit and tries
+    the masks holding it in index order; None if there is none.
+
+    The masks are read by column: bit i of column j is set when mask i
+    holds bit j, so the masks holding a bit are one int, walked from its
+    lowest set bit up.  At the last pick the masks holding every missing
+    bit are the AND of their columns, and the lowest of them is the one a
+    scan in index order reaches first.
+    """
+    max_bits = max(mask.bit_count() for mask in masks)
+    columns = [
+        int("".join("1" if mask >> j & 1 else "0" for mask in reversed(masks)), 2)
+        for j in range(full.bit_length())
+    ]
 
     def dfs(covered: int, chosen: list[int]) -> list[int] | None:
-        if covered == full:
-            return chosen
-        if len(chosen) == k:
-            return None
         missing = full & ~covered
-        if bin(missing).count("1") > (k - len(chosen)) * max_bits:
+        if not missing:
+            return chosen
+        left = k - len(chosen)
+        if missing.bit_count() > left * max_bits:
             return None
-        low = missing & -missing  # branch on the lowest uncovered edge
-        for i, mask in enumerate(masks):
-            if mask & low:
-                got = dfs(covered | mask, chosen + [i])
-                if got is not None:
-                    return got
+        if left == 1:
+            holding = -1
+            while missing:
+                low = missing & -missing
+                holding &= columns[low.bit_length() - 1]
+                missing ^= low
+            return chosen + [(holding & -holding).bit_length() - 1] if holding else None
+        candidates = columns[(missing & -missing).bit_length() - 1]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            got = dfs(covered | masks[i], chosen + [i])
+            if got is not None:
+                return got
         return None
 
     return dfs(0, [])
@@ -335,16 +377,35 @@ def _find_cover(masks: list[int], full: int, k: int) -> list[int] | None:
 def exact_unc(
     g: Graph, limits: SearchLimits = DEFAULT_UNC_LIMITS
 ) -> tuple[int, list[SubdrawingCertificate]]:
-    """Minimum number of feasible sets covering all edges, with witnesses."""
-    sets = list(_maximal_feasible(g, limits))
-    if g.m == 0:  # nothing to cover, but one drawing still shows the vertex
-        return 1, [_witness(g, *sets[0])]
-    h = len(sets[0][0])
+    """Minimum number of feasible sets covering all edges, with witnesses.
+
+    Every cover needs at least ceil(m / h) sets.  At the end of each size
+    level of the walk that holds a maximal set, the sets found so far are
+    searched for a cover by that many, and the first one found is the
+    answer, so most graphs never walk the smaller levels: K_6 takes 99
+    kernel searches, not the full walk's 668.  Proving that no cover of
+    some size exists needs every maximal set, so when no level end gives a
+    ceil(m / h)-cover the walk runs out and larger covers are searched
+    over the full list.  The cover is the first in `_find_cover`'s order
+    among the sets walked when it is found.
+    """
     edge_index = {e: i for i, e in enumerate(g.edges)}
-    masks = [sum(1 << edge_index[e] for e in hedges) for hedges, _ in sets]
     full = (1 << g.m) - 1
-    lower = max(1, -(-g.m // h))
-    for k in range(lower, len(sets) + 1):
+    sets = []
+    masks = []
+    for item in _walk(g, limits):
+        if item is not _LEVEL_END:
+            sets.append(item)
+            masks.append(sum(1 << edge_index[e] for e in item[0]))
+            continue
+        if g.m == 0:  # nothing to cover, but one drawing still shows the vertex
+            return 1, [_witness(g, *sets[0])]
+        lower = -(-g.m // len(sets[0][0]))
+        picked = _find_cover(masks, full, lower)
+        if picked is not None:
+            return lower, [_witness(g, *sets[i]) for i in picked]
+    # the last level end saw every set, so no cover by `lower` sets exists
+    for k in range(lower + 1, len(sets) + 1):
         picked = _find_cover(masks, full, k)
         if picked is not None:
             return k, [_witness(g, *sets[i]) for i in picked]

@@ -408,6 +408,22 @@ def test_render_malformed_record_exit_code(capsys, tmp_path):
         assert _render_exit(capsys, tmp_path, broken) == 4
 
 
+@pytest.mark.parametrize("payload", [
+    dict(ONE_VERTEX_RECORD, x=True),
+    dict(ONE_VERTEX_RECORD, x0="zz"),
+    dict(ONE_VERTEX_RECORD, stats={"m": "a", "m_prime": [], "t": None, "f": True,
+                                   "density": "0"}),
+    dict(ONE_VERTEX_RECORD, stats=dict(ONE_VERTEX_RECORD["stats"], density=0)),
+    dict(ONE_VERTEX_RECORD, epsilon=0.5),
+    dict(ONE_VERTEX_RECORD, x0=float("nan")),
+])
+def test_render_record_scalar_types_exit_code(capsys, tmp_path, payload):
+    # x and the stats counts are JSON integers, x0 a finite number or null,
+    # epsilon and density fraction strings; the record renders only then
+    assert _render_exit(capsys, tmp_path, dict(ONE_VERTEX_RECORD, x0=2.5)) == 0
+    assert _render_exit(capsys, tmp_path, payload) == 4
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "--epsilon", "1/0", "--n", "20"],
     ["verify-tightness", "--epsilons", "1/0"],

@@ -373,7 +373,7 @@ def test_orbit_cache_kernel_calls_on_k6(monkeypatch):
     assert len(calls) == 20
     calls.clear()
     assert exact_unc(k6)[0] == 2
-    assert len(calls) == 668
+    assert len(calls) == 99
     calls.clear()
     assert len(maximal_feasible_sets(k6)) == 612
     assert len(calls) == 668
