@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     SearchBudgetError,
 )
-from .graphs import parse_edge_list, serialize_edge_list
+from .graphs import SLICE, parse_edge_list, write_edge_list
 from .oracle import (
     DEFAULT_LIMITS,
     DEFAULT_UNC_LIMITS,
@@ -37,6 +37,7 @@ from .render import render_json, render_record
 
 _json_str = json.encoder.encode_basestring_ascii
 _ROWS = (list, tuple)
+_CONTAINERS = (list, tuple, dict)
 
 DEFAULT_EPSILONS = "3/20,1/5,1/4,3/10,7/20,2/5,9/20"
 DEFAULT_NS = "20,40,80"
@@ -81,44 +82,100 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _json_text(obj, nl: str = "\n") -> str:
-    """`json.dumps(obj, indent=2)`, byte for byte, except that dict keys
-    must be str (anything else raises TypeError).
+def _json_chunks(obj, nl: str = "\n"):
+    """`json.dumps(obj, indent=2)` in pieces, byte for byte, except that
+    dict keys must be str (anything else raises TypeError).
 
     The stdlib falls back to its pure-Python encoder whenever `indent` is
     set.  Here the bulk of a record, the ints and int pairs of a list or
     tuple (edge lists, rotations) and the int values of a dict (face
-    assignments), is written with one f-string per item; other items of a
-    non-empty container recurse, and every other value is `json.dumps`'s.
-    nl is the newline plus the current indent.
+    assignments), is written with one f-string per item; scalars and empty
+    containers are `json.dumps`'s, and other items recurse.  Runs of such
+    flat items are joined into pieces of at most SLICE items, so no whole
+    document is built.  nl is the newline plus the current indent.
     """
-    if isinstance(obj, _ROWS) and obj:
-        inner = nl + "  "
-        deeper = inner + "  "
-        items = []
-        for x in obj:
-            if type(x) is int:
-                items.append(str(x))
-            elif type(x) in _ROWS and len(x) == 2 and type(x[0]) is int and type(x[1]) is int:
-                items.append(f"[{deeper}{x[0]},{deeper}{x[1]}{inner}]")
-            else:
-                items.append(_json_text(x, inner))
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(obj, dict) and obj:
-        inner = nl + "  "
-        items = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            text = str(value) if type(value) is int else _json_text(value, inner)
-            items.append(f"{_json_str(key)}: {text}")
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    return json.dumps(obj)
+    if not (isinstance(obj, _CONTAINERS) and obj):
+        yield json.dumps(obj)
+        return
+    inner = nl + "  "
+    deeper = inner + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        lead, close = "{" + inner, nl + "}"
+        items = ((_json_key(key), value) for key, value in obj.items())
+    else:
+        lead, close = "[" + inner, nl + "]"
+        items = (("", x) for x in obj)
+    run = []
+    for key, x in items:
+        if type(x) is int:
+            run.append(key + str(x))
+        elif type(x) in _ROWS and len(x) == 2 and type(x[0]) is int and type(x[1]) is int:
+            run.append(f"{key}[{deeper}{x[0]},{deeper}{x[1]}{inner}]")
+        elif not (isinstance(x, _CONTAINERS) and x):
+            run.append(key + json.dumps(x))
+        else:
+            if run:
+                yield lead + sep.join(run)
+                lead, run = sep, []
+            yield lead + key
+            lead = sep
+            yield from _json_chunks(x, inner)
+            continue
+        if len(run) == SLICE:
+            yield lead + sep.join(run)
+            lead, run = sep, []
+    yield (lead + sep.join(run) if run else "") + close
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _json_str(key) + ": "
+
+
+def _json_text(obj) -> str:
+    """`json.dumps(obj, indent=2)`, as _json_chunks writes it."""
+    return "".join(_json_chunks(obj))
+
+
+def _unwritable(path, exc: OSError) -> ValueError:
+    """An output path that cannot be written is a precondition failure."""
+    return ValueError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+class _Output:
+    """A text file opened at its first write, so a check that fails before
+    then leaves no file behind.  OSError from opening, writing or closing
+    it becomes _unwritable."""
+
+    def __init__(self, path):
+        self.path = path
+        self._file = None
+
+    def write(self, text: str) -> None:
+        try:
+            if self._file is None:
+                self._file = open(self.path, "w")
+            self._file.write(text)
+        except OSError as exc:
+            raise _unwritable(self.path, exc) from exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._file is not None:
+            try:
+                self._file.close()
+            except OSError as exc:
+                raise _unwritable(self.path, exc) from exc
 
 
 def _write(path: str | None, content: str):
     if path:
-        Path(path).write_text(content)
+        with _Output(path) as out:
+            out.write(content)
 
 
 def cmd_bounds(args) -> int:
@@ -140,11 +197,19 @@ def cmd_construct(args) -> int:
     rec = construct(_fraction(args.epsilon), args.n)
     check_tightness(rec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "record.json").write_text(_json_text(rec.to_json_dict()) + "\n")
-    (out / "graph.edgelist").write_text(serialize_edge_list(rec.graph))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(out, exc) from exc
+    with _Output(out / "record.json") as f:
+        for chunk in _json_chunks(rec.to_json_dict()):
+            f.write(chunk)
+        f.write("\n")
+    with _Output(out / "graph.edgelist") as f:
+        write_edge_list(rec.graph, f)
     if args.svg:
-        (out / "drawing.svg").write_text(render_record(rec))
+        with _Output(out / "drawing.svg") as f:
+            render_record(rec, f)
     print(
         f"n={rec.n} x={rec.x} m={rec.stats.m} m_prime={rec.stats.m_prime} "
         f"t={rec.stats.t} density={rec.stats.density}"
@@ -261,8 +326,8 @@ def cmd_compare_bounds(args) -> int:
 
 def cmd_render(args) -> int:
     data = json.loads(_read_input(args.infile))
-    svg = render_json(data)
-    Path(args.out).write_text(svg)
+    with _Output(args.out) as out:
+        render_json(data, out)
     return 0
 
 

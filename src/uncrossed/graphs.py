@@ -7,12 +7,18 @@ everywhere downstream.
 
 from __future__ import annotations
 
+import io
+import itertools
 import random
 from dataclasses import dataclass
 
 from .errors import ParseError
 
 Edge = tuple[int, int]
+
+# items or lines per write of a streamed output file: few enough calls to
+# cost little, and no whole document is held in memory
+SLICE = 4096
 
 
 def _normalize_edge(u: int, v: int) -> Edge:
@@ -235,8 +241,21 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
+def write_lines(out, lines) -> None:
+    """Write each line and a newline to the text stream out, SLICE lines
+    per call."""
+    lines = iter(lines)
+    while batch := list(itertools.islice(lines, SLICE)):
+        out.write("\n".join(batch) + "\n")
+
+
+def write_edge_list(g: Graph, out) -> None:
+    """Write serialize_edge_list(g) to the text stream out."""
+    write_lines(out, itertools.chain((f"{g.n} {g.m}",), (f"{u} {v}" for u, v in g.edges)))
+
+
 def serialize_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list; edges in canonical ascending order."""
-    out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(out) + "\n"
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    return buf.getvalue()

@@ -90,7 +90,8 @@ class SubdrawingCertificate:
     @staticmethod
     def from_json_dict(data: dict, graph: Graph | None = None) -> "SubdrawingCertificate":
         """Parse what to_json_dict writes.  Without a graph, the host graph
-        is the uncrossed edges plus the assignment keys.  n, every vertex id
+        is the uncrossed edges plus the assignment keys; a given graph must
+        have n vertices.  n, every vertex id
         and every face index must be a JSON integer, every assignment key
         decimal digits "<u>-<v>", and no edge may be named twice; anything
         else raises MalformedCertificateError."""
@@ -119,6 +120,8 @@ class SubdrawingCertificate:
                 assignment[e] = idx
             if graph is None:
                 graph = Graph(n, tuple(sorted(named)))
+            elif graph.n != n:
+                raise MalformedCertificateError(f"certificate on {n} vertices for {graph.n}")
             rotation = RotationSystem(Graph(n, uncrossed), orders)
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise MalformedCertificateError(f"bad certificate JSON: {exc}") from exc
@@ -139,12 +142,16 @@ def verify_certificate(cert: SubdrawingCertificate) -> bool:
         raise MalformedCertificateError("uncrossed contains an edge not in the graph")
     if cert.rotation.graph.n != g.n or set(cert.rotation.graph.edges) != hset:
         raise MalformedCertificateError("rotation is not over the uncrossed subgraph")
-    missing = edge_set - hset
-    if set(cert.face_assignment) != missing:
+    # with H a subset of E and dict keys distinct, the keys are E - H iff
+    # there are |E| - |H| of them and none lies outside E or inside H
+    assignment = cert.face_assignment
+    if len(assignment) != len(edge_set) - len(hset) or not all(
+        e in edge_set and e not in hset for e in assignment
+    ):
         raise MalformedCertificateError("assignment keys must be exactly the crossed edges")
     faces = trace_faces(cert.rotation)
     f = len(faces)
-    for e, idx in cert.face_assignment.items():
+    for e, idx in assignment.items():
         if not isinstance(idx, int) or not 0 <= idx < f:
             raise MalformedCertificateError(f"dangling face index {idx} for edge {e}")
 
@@ -156,7 +163,7 @@ def verify_certificate(cert: SubdrawingCertificate) -> bool:
         return False
     if g.n >= 3 and len(hset) > 3 * g.n - 6:
         return False
-    for (u, v), idx in cert.face_assignment.items():
+    for (u, v), idx in assignment.items():
         verts = faces[idx].vertices
         if u not in verts or v not in verts:
             return False

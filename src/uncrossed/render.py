@@ -9,13 +9,14 @@ the convex outer face.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from .construction import ConstructionRecord
 from .embedding import trace_faces
 from .errors import ConstructionIntegrityError, MalformedCertificateError
-from .graphs import connected_spanning
+from .graphs import connected_spanning, write_lines
 from .oracle import SubdrawingCertificate, verify_certificate
 
 
@@ -79,37 +80,37 @@ def barycentric_layout(cert: SubdrawingCertificate) -> list[tuple[float, float]]
     return coords
 
 
-def _svg_document(body: list[str], xmin, ymin, width, height) -> str:
-    head = (
+def _write_svg(out, body, xmin, ymin, width, height) -> None:
+    """Write the SVG document holding the body lines to the text stream out."""
+    out.write(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(xmin)} {_fmt(ymin)} {_fmt(width)} {_fmt(height)}">'
+        f'viewBox="{_fmt(xmin)} {_fmt(ymin)} {_fmt(width)} {_fmt(height)}">\n'
     )
-    return "\n".join([head] + body + ["</svg>"]) + "\n"
+    write_lines(out, body)
+    out.write("</svg>\n")
 
 
-def _drawing_lines(coords, solid_edges, dotted) -> list[str]:
+def _drawing_lines(coords, solid_edges, dotted):
     """Solid segments, dotted arcs through their control points, then the
     vertex dots; each vertex's coordinates are formatted once."""
     pts = [(_fmt(x), _fmt(y)) for x, y in coords]
-    body = []
     for u, v in solid_edges:
         (x1, y1), (x2, y2) = pts[u], pts[v]
-        body.append(
+        yield (
             f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
             'stroke="black" stroke-width="0.02"/>'
         )
     for (u, v), (cx, cy) in dotted:
         (x1, y1), (x2, y2) = pts[u], pts[v]
-        body.append(
+        yield (
             f'<path d="M {x1} {y1} Q {_fmt(cx)} {_fmt(cy)} {x2} {y2}" '
             'fill="none" stroke="black" stroke-width="0.02" stroke-dasharray="0.05,0.05"/>'
         )
-    body += [
-        f'<circle cx="{x}" cy="{y}" r="0.05" fill="white" '
-        'stroke="black" stroke-width="0.02"/>'
-        for x, y in pts
-    ]
-    return body
+    for x, y in pts:
+        yield (
+            f'<circle cx="{x}" cy="{y}" r="0.05" fill="white" '
+            'stroke="black" stroke-width="0.02"/>'
+        )
 
 
 def _outward_control(p1, p2, radius: float) -> tuple[float, float]:
@@ -119,21 +120,23 @@ def _outward_control(p1, p2, radius: float) -> tuple[float, float]:
     norm = math.hypot(mx, my)
     if norm < 1e-9:  # diameter chord: bulge perpendicular to it
         dx, dy = p2[0] - p1[0], p2[1] - p1[1]
-        dn = math.hypot(dx, dy)
+        dn = math.hypot(dx, dy) or 1.0  # coincident endpoints: any point will do
         mx, my = -dy / dn, dx / dn
         norm = 1.0
     scale = 2.2 * radius / norm
     return (mx * scale, my * scale)
 
 
-def render_record(rec: ConstructionRecord) -> str:
+def render_record(rec: ConstructionRecord, out) -> None:
+    """Write the record's drawing, as stored, to the text stream out."""
     coords = rec.coordinates
-    dotted = [(e, _outward_control(coords[e[0]], coords[e[1]], 1.0)) for e in rec.crossed_edges]
-    body = _drawing_lines(coords, rec.certificate.uncrossed, dotted)
-    return _svg_document(body, -2.5, -2.5, 5.0, 5.0)
+    dotted = ((e, _outward_control(coords[e[0]], coords[e[1]], 1.0)) for e in rec.crossed_edges)
+    _write_svg(out, _drawing_lines(coords, rec.certificate.uncrossed, dotted), -2.5, -2.5, 5.0, 5.0)
 
 
-def render_certificate(cert: SubdrawingCertificate, offset: float = 0.0) -> list[str]:
+def render_certificate(cert: SubdrawingCertificate, offset: float = 0.0):
+    """The SVG lines of one certificate's panel; the layout is computed
+    before this returns, and the lines are formatted as they are read."""
     coords = [(x + offset, y) for x, y in barycentric_layout(cert)]
     dotted = []
     for u, v in sorted(cert.face_assignment):
@@ -162,17 +165,20 @@ def _verified_certificate(data: dict) -> SubdrawingCertificate:
     return cert
 
 
-def render_json(data) -> str:
-    """Dispatch on the JSON shape produced by the CLI subcommands.
+def render_json(data, out) -> None:
+    """Dispatch on the JSON shape produced by the CLI subcommands and write
+    the drawing to the text stream out.
 
     Construction records are drawn as stored; every drawing certificate is
     verified first.  Input that is not an object, a cover that is not a
     list, and a broken record or certificate raise MalformedCertificateError.
+    Every check and layout is done before the first write.
     """
     if not isinstance(data, dict):
         raise MalformedCertificateError(f"expected a JSON object, got {type(data).__name__}")
     if data.get("kind") == "construction":
-        return render_record(ConstructionRecord.from_json_dict(data))
+        render_record(ConstructionRecord.from_json_dict(data), out)
+        return
     certs = []
     if "witness" in data:
         certs = [_verified_certificate(data["witness"])]
@@ -184,8 +190,5 @@ def render_json(data) -> str:
         certs = [_verified_certificate(data)]
     if not certs:
         raise ValueError("input has neither coordinates nor a drawing certificate")
-    body = []
-    for i, cert in enumerate(certs):
-        body += render_certificate(cert, offset=2.6 * i)
-    width = 2.6 * len(certs)
-    return _svg_document(body, -1.3, -1.3, width, 2.6)
+    panels = [render_certificate(cert, offset=2.6 * i) for i, cert in enumerate(certs)]
+    _write_svg(out, itertools.chain.from_iterable(panels), -1.3, -1.3, 2.6 * len(certs), 2.6)

@@ -297,8 +297,11 @@ def test_huge_vertex_count_exit_code(capsys, tmp_path):
 def _render_exit(capsys, tmp_path, payload) -> int:
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(payload))
-    code = main(["render", "--in", str(path), "--out", str(tmp_path / "x.svg")])
+    svg = tmp_path / "x.svg"
+    svg.unlink(missing_ok=True)
+    code = main(["render", "--in", str(path), "--out", str(svg)])
     assert capsys.readouterr().err.startswith("error: ") == (code != 0)
+    assert svg.exists() == (code == 0)  # every check runs before the file is opened
     return code
 
 
@@ -353,7 +356,11 @@ PATH3_RECORD = dict(
 )
 
 
-@pytest.mark.parametrize("payload", [K2_CERT, PATH3_CERT, ONE_VERTEX_RECORD, PATH3_RECORD])
+@pytest.mark.parametrize("payload", [
+    K2_CERT, PATH3_CERT, ONE_VERTEX_RECORD, PATH3_RECORD,
+    # a crossed edge whose ends coincide at the centre still gets an arc
+    dict(PATH3_RECORD, coordinates=[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
+])
 def test_render_strict_json_valid_inputs(capsys, tmp_path, payload):
     # the inputs the loose variants below are made from all render
     assert _render_exit(capsys, tmp_path, payload) == 0
@@ -401,10 +408,16 @@ def test_render_malformed_record_exit_code(capsys, tmp_path):
     main(["construct", "--epsilon", "3/10", "--n", "20", "--out", str(tmp_path)])
     capsys.readouterr()
     record = json.loads((tmp_path / "record.json").read_text())
+    cert = record["certificate"]
     for broken in (dict(record, coordinates=record["coordinates"][:-1]),
                    dict(record, coordinates=[[None, 0.0]] * 20),
                    dict(record, crossed=[[0]]),
-                   dict(record, epsilon="1/0")):
+                   dict(record, epsilon="1/0"),
+                   # a certificate on more vertices than the record, with
+                   # and without an uncrossed edge beyond the coordinates
+                   dict(record, certificate=dict(cert, n=22, rotation=cert["rotation"] + [[], []])),
+                   dict(record, certificate=dict(cert, n=22, uncrossed=cert["uncrossed"] + [[20, 21]],
+                                                 rotation=cert["rotation"] + [[21], [20]]))):
         assert _render_exit(capsys, tmp_path, broken) == 4
 
 
@@ -544,3 +557,33 @@ def test_fuzz_render_exit_codes(capsys, tmp_path, payload):
     captured = capsys.readouterr()
     assert code in (0, 2, 3, 4)
     assert (code == 0) == (captured.err == "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--in", "{k5}", "--csv", "{bad}"],
+    ["bounds", "--in", "{k5}", "--json", "{bad}"],
+    ["construct", "--epsilon", "3/10", "--n", "20", "--out", "{bad}", "--svg"],
+    ["oracle-h", "--in", "{k5}", "--out", "{bad}"],
+    ["oracle-h", "--in", "{k5}", "--out", "{missing}"],
+    ["oracle-unc", "--in", "{k5}", "--out", "{bad}"],
+    ["verify-tightness", "--epsilons", "3/10", "--ns", "20", "--out", "{bad}"],
+    ["compare-bounds", "--ns", "20", "--epsilons", "3/10", "--out", "{bad}"],
+    ["render", "--in", "{record}", "--out", "{bad}"],
+    ["render", "--in", "{record}", "--out", "{tmp}"],
+])
+def test_unwritable_output_exit_code(capsys, tmp_path, argv):
+    # an output path under a regular file, in a missing directory, or that
+    # is a directory: a precondition failure, reported on one line
+    k5 = tmp_path / "k5.edgelist"
+    k5.write_text(serialize_edge_list(make_complete(5)))
+    assert main(["construct", "--epsilon", "3/10", "--n", "20", "--out", str(tmp_path)]) == 0
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    paths = {"k5": k5, "record": tmp_path / "record.json", "bad": blocker / "x",
+             "missing": tmp_path / "missing" / "x.json", "tmp": tmp_path}
+    argv = [arg.format(**paths) for arg in argv]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    out = argv[argv.index("--svg") - 1] if "--svg" in argv else argv[-1]
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1

@@ -87,6 +87,20 @@ def test_verify_malformed():
             k4, ((0, 5),), cert.rotation, {}))
 
 
+@pytest.mark.parametrize("keys", [
+    [(1, 3), (5, 6)],  # a key outside E, in place of a crossed edge
+    [(1, 3), (0, 1)],  # a key in H, in place of a crossed edge
+    [(1, 3)],  # a crossed edge missing
+    [(1, 3), (2, 4), (0, 1)],  # an extra key
+])
+def test_verify_assignment_keys_exactly_crossed(keys):
+    k5, cert = wheel_certificate_in_k5()
+    bad = SubdrawingCertificate(k5, cert.uncrossed, cert.rotation, dict.fromkeys(keys, 0))
+    with pytest.raises(MalformedCertificateError,
+                       match="^assignment keys must be exactly the crossed edges$"):
+        verify_certificate(bad)
+
+
 def test_verify_rejects_genus_one_rotation():
     k4 = make_complete(4)
     rotation = next(r for r in enumerate_rotation_systems(k4) if genus(r) == 1)

@@ -1,3 +1,4 @@
+import io
 import math
 import subprocess
 import sys
@@ -8,6 +9,12 @@ from uncrossed.construction import build_construction
 from uncrossed.graphs import make_complete
 from uncrossed.oracle import feasible
 from uncrossed.render import barycentric_layout, render_json, render_record
+
+
+def _svg(render, *args) -> str:
+    out = io.StringIO()
+    render(*args, out)
+    return out.getvalue()
 
 
 def test_barycentric_k4():
@@ -22,10 +29,10 @@ def test_barycentric_k4():
 
 def test_render_record_shape():
     rec = build_construction(5, 11)  # mirrors the small illustrative drawing
-    svg = render_record(rec)
+    svg = _svg(render_record, rec)
     assert svg.count("stroke-dasharray") == 5 * 2 // 2  # x(x-3)/2 dotted chords
     assert svg.count("<circle") == 11
-    assert render_record(rec) == svg  # byte-determinism
+    assert _svg(render_record, rec) == svg  # byte-determinism
 
 
 def test_render_cover_panels():
@@ -34,13 +41,13 @@ def test_render_cover_panels():
     k5 = make_complete(5)
     value, cover = exact_unc(k5)
     payload = {"cover": [c.to_json_dict() for c in cover]}
-    svg = render_json(payload)
+    svg = _svg(render_json, payload)
     assert svg.count("<circle") == 5 * value  # one panel per drawing
 
 
 def test_render_json_requires_drawing():
     with pytest.raises(ValueError):
-        render_json({"kind": "mystery"})
+        _svg(render_json, {"kind": "mystery"})
 
 
 def test_render_rejects_disconnected_certificate():
@@ -48,7 +55,7 @@ def test_render_rejects_disconnected_certificate():
     payload = {"n": 4, "uncrossed": [[0, 1], [0, 2], [1, 2]],
                "rotation": [[1, 2], [0, 2], [0, 1], []], "assignment": {}}
     with pytest.raises(ValueError):
-        render_json(payload)
+        _svg(render_json, payload)
 
 
 def test_render_imports_no_numpy():
