@@ -31,24 +31,10 @@ def _root_sum_bracket(a: int, plus: int, minus: int, bits: int) -> tuple[int, in
     return (a << bits) + p - q_up, (a << bits) + p_up - q
 
 
-def ceil_root_sum(a: int, plus: int, minus: int, den: int) -> int:
-    """ceil((a + sqrt(plus) - sqrt(minus)) / den) for den > 0, exactly.
-
-    The bracket is refined until both its ends have the same ceiling; an
-    irrational value gets there, and a rational one is bracketed exactly.
-    """
-    bits = 64
-    while True:
-        lo, hi = _root_sum_bracket(a, plus, minus, bits)
-        c = -(-lo // (den << bits))
-        if c == -(-hi // (den << bits)):
-            return c
-        bits *= 2
-
-
 def _ceil_div_root_sum(num: int, a: int, plus: int, minus: int) -> int:
     """ceil(num / (a + sqrt(plus) - sqrt(minus))) for num >= 0 and a
-    positive denominator, exactly, as ceil_root_sum decides it."""
+    positive denominator, exactly: the bracket is refined until both its
+    ends give the same ceiling."""
     bits = 64
     while True:
         lo, hi = _root_sum_bracket(a, plus, minus, bits)

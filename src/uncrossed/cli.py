@@ -396,6 +396,9 @@ def main(argv=None) -> int:
     except (ConstructionIntegrityError, MalformedCertificateError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

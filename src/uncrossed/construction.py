@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bounds import ceil_root_sum, h_upper
+from .bounds import h_upper
 from .embedding import RotationSystem, trace_faces
 from .errors import ConstructionIntegrityError, MalformedCertificateError, NotApplicableError
 from .graphs import Edge, Graph
@@ -145,8 +145,12 @@ def choose_x(epsilon, n: int) -> tuple[int, float]:
     disc = Fraction(25, 4) + 2 * (eps * n * n - 3 * (n - 1))
     _need(disc > 0, f"discriminant {disc} <= 0")  # follows from n >= 3/epsilon
     x0 = 2.5 + math.sqrt(float(disc))
+    # with disc = p/q, c = ceil(2 sqrt(disc)) = ceil(ceil(sqrt(4pq)) / q)
+    # and x = ceil((5 + c) / 2)
     p, q = disc.numerator, disc.denominator
-    x = ceil_root_sum(5 * q, 4 * p * q, 0, 2 * q)  # 5/2 + sqrt(p/q) = (5q + sqrt(4pq)) / 2q
+    r = math.isqrt(4 * p * q)
+    c = -(-(r + (r * r != 4 * p * q)) // q)
+    x = (c + 6) // 2
     _need(3 <= x <= n - 1, f"clamp should be unreachable, got x={x}")
     return x, x0
 

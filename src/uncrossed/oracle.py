@@ -31,7 +31,9 @@ where the full walk takes 668.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import re
 import time
 from dataclasses import dataclass
@@ -236,14 +238,13 @@ def _walk(g: Graph, limits: SearchLimits):
     without any embedding work).  A spanning tree is always feasible, so
     the walk yields at least one set.
 
-    Sets are edge masks with bit m-1-i for edge i, so lexicographic order
-    within a size is descending mask order.  Until the first set is
-    found a level is every combination.  After that each level is derived
-    from the one above: a set lies inside a found set exactly when one of
-    its one-edge extensions is a found set or lies inside one, so the
-    candidates of a size are the sets all of whose extensions are among
-    the sets of the size above that were neither found nor inside a found
-    set.  Once that list is empty the walk is over.
+    Sets are edge masks with bit i for edge i, and a level is every
+    combination of its size, in lexicographic order.  Found sets are read
+    by column, as in _find_cover: bit j of holders[i] is set when found
+    set j holds edge i, so a candidate lies inside a found set exactly
+    when the AND of its edges' columns is nonzero.  A level reads the
+    columns as they stood when it began; the sets it finds cannot hold
+    its other candidates, which have the same size.
 
     Infeasibility is cached by orbit under Aut(G).  When the kernel rules
     a candidate H out, the masks of every image sigma(H) join
@@ -265,28 +266,21 @@ def _walk(g: Graph, limits: SearchLimits):
         raise SearchBudgetError(f"n={g.n} exceeds max_n={limits.max_n}")
     deadline = _Deadline(limits.time_budget)
     m = g.m
-    bits = [1 << (m - 1 - i) for i in range(m)]
+    bits = [1 << i for i in range(m)]
     bit = dict(zip(g.edges, bits))
     infeasible: set[int] = set()
     images: dict[Edge, tuple[int, ...]] | None = None
-    above: list[int] | None = None  # the level above's sets neither found nor inside one
+    holders = [0] * m
+    count = 0  # sets found so far
     for size in range(_size_cap(g), g.n - 2, -1):
-        if above is None:
-            level = map(sum, itertools.combinations(bits, size))
-        else:
-            extensions: dict[int, int] = {}
-            for mask in above:
-                for b in bits:
-                    if mask & b:
-                        sub = mask ^ b
-                        extensions[sub] = extensions.get(sub, 0) + 1
-            level = sorted((sub for sub, k in extensions.items() if k == m - size), reverse=True)
-            if not level:
-                return
-        found: set[int] = set()
-        for mask in level:
+        above = count  # sets found at the sizes above
+        level = zip(
+            map(sum, itertools.combinations(bits, size)),
+            itertools.combinations(holders, size) if above else itertools.repeat(()),
+        )
+        for mask, held in level:
             deadline.check()
-            if mask in infeasible:
+            if mask in infeasible or above and functools.reduce(operator.and_, held):
                 continue
             hedges = tuple(e for e, b in zip(g.edges, bits) if mask & b)
             if not connected_spanning(g.n, hedges):
@@ -294,7 +288,10 @@ def _walk(g: Graph, limits: SearchLimits):
             crossed = tuple(e for e in g.edges if not mask & bit[e])
             orders = first_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget)
             if orders is not None:
-                found.add(mask)
+                for i in range(m):
+                    if mask >> i & 1:
+                        holders[i] |= 1 << count
+                count += 1
                 yield hedges, orders
                 continue
             if images is None:
@@ -304,12 +301,8 @@ def _walk(g: Graph, limits: SearchLimits):
                     for u, v in g.edges
                 }
             infeasible.update(map(sum, zip(*(images[e] for e in hedges))))
-        if found:
+        if count > above:
             yield _LEVEL_END
-        if found or above is not None:
-            if above is None:  # the walk consumed this full level; list it again
-                level = map(sum, itertools.combinations(bits, size))
-            above = [mask for mask in level if mask not in found]
 
 
 def _maximal_feasible(g: Graph, limits: SearchLimits):

@@ -173,6 +173,24 @@ def test_criterion_4_sandwich_on_exhaustive_corpus():
         print(f"  (143 graphs in {time.monotonic() - t0:.0f}s)")
 
 
+@pytest.mark.slow
+def test_sandwich_on_connected_7_vertex_graphs():
+    # the criterion-4 sandwich at n = 7, under a budget that lets the
+    # kernel through K_7: h <= h_upper and unc >= each lower bound, and
+    # every witness and cover member verifies
+    corpus = [Graph.from_edges(7, list(a.edges())) for a in nx.graph_atlas_g()
+              if a.number_of_nodes() == 7 and nx.is_connected(a)]
+    assert len(corpus) == 853
+    limits = SearchLimits(max_n=7, max_rotation_budget=10**9)
+    for g in corpus:
+        h, witness = exact_h(g, limits)
+        assert verify_certificate(witness) and len(witness.uncrossed) == h
+        unc, cover = exact_unc(g, limits)
+        assert all(verify_certificate(cert) for cert in cover) and len(cover) == unc
+        assert set().union(*(cert.uncrossed for cert in cover)) == set(g.edges)
+        _bound_checks(g, h, unc, witness)
+
+
 def test_criterion_5_euler_face_properties():
     with criterion(5, "handshake and Euler face identities on random embeddings"):
         rng = random.Random(555)

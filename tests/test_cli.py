@@ -221,6 +221,25 @@ def test_subprocess_round_trip(tmp_path):
     assert (tmp_path / "d.svg").read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--epsilon", "3/10", "--n", "1000000000000", "--out"],
+    ["verify-tightness", "--ns", "1000000000000", "--epsilons", "3/10", "--out"],
+])
+def test_out_of_memory_exit_code(tmp_path, argv):
+    # n = 10^12 asks for a rim list of about 7.7 * 10^11 items at once; the
+    # child's address space is capped at 2 GiB, so the allocation fails
+    # at once however the machine overcommits
+    resource = pytest.importorskip("resource")
+    cap = 2 << 30
+    out = tmp_path / "huge"
+    proc = subprocess.run(
+        [sys.executable, "-m", "uncrossed.cli", *argv, str(out)],
+        capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+    assert not out.exists()
+
+
 def _runs_byte_identical(capsys, tmp_path, argv_fn):
     outputs = []
     for tag in ("a", "b"):

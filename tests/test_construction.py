@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uncrossed.construction import (
     ConstructionRecord,
@@ -31,6 +32,59 @@ def test_choose_x_gates():
         choose_x(Fraction(1, 2), 20)
     with pytest.raises(NotApplicableError):
         choose_x(0, 20)
+
+
+def _least_rim(disc: Fraction) -> int:
+    # the least integer x >= 5/2 with x >= 5/2 + sqrt(disc), decided by
+    # squaring: (2x - 5)^2 q >= 4p for disc = p/q
+    p, q = disc.numerator, disc.denominator
+
+    def holds(x):
+        return (2 * x - 5) ** 2 * q >= 4 * p
+
+    lo = hi = 3
+    while not holds(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
+    return lo
+
+
+def _disc(eps: Fraction, n: int) -> Fraction:
+    return Fraction(25, 4) + 2 * (eps * n * n - 3 * (n - 1))
+
+
+def _eps(disc: Fraction, n: int) -> Fraction:
+    return (disc - Fraction(25, 4) + 6 * (n - 1)) / (2 * n * n)
+
+
+def _in_gates(eps: Fraction, n: int) -> bool:
+    return eps > 0 and n >= 3 / eps and eps <= Fraction(n - 1, 2 * n)
+
+
+def test_choose_x_matches_squaring_reference_at_rational_roots():
+    # disc = (k/2)^2, where the root is rational and a bracket of it has
+    # no width, and disc a hair either side, where the ceiling steps
+    checked = 0
+    for n in range(3, 80):
+        for k in range(1, 2 * n + 8):
+            for shift in (0, Fraction(1, 10**9), -Fraction(1, 10**9)):
+                eps = _eps(Fraction(k * k, 4) + shift, n)
+                if _in_gates(eps, n):
+                    assert choose_x(eps, n)[0] == _least_rim(_disc(eps, n)), (eps, n)
+                    checked += 1
+    assert checked > 10_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(7, 10**9), st.integers(0, 10**6), st.integers(1, 10**6))
+def test_choose_x_matches_squaring_reference(n, num, den):
+    # a random epsilon between the gates 3/n and (n-1)/(2n), which meet
+    # only from n = 7 on
+    lo, hi = Fraction(3, n), Fraction(n - 1, 2 * n)
+    eps = lo + (hi - lo) * Fraction(min(num, den), den)
+    assert choose_x(eps, n)[0] == _least_rim(_disc(eps, n))
 
 
 def test_build_14_20():

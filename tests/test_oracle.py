@@ -444,3 +444,23 @@ def test_walk_matches_reference_on_small_graphs():
     graphs += [g for g in connected_graphs_up_to_iso(6) if 11 <= g.m <= 13]
     for g in graphs:
         assert list(oracle._maximal_feasible(g, DEFAULT_UNC_LIMITS)) == _reference_walk(g), g
+
+
+def _atlas_7(m):
+    # the connected 7-vertex graphs with m edges, in atlas order
+    return [Graph.from_edges(7, list(a.edges())) for a in nx.graph_atlas_g()
+            if a.number_of_nodes() == 7 and a.number_of_edges() == m and nx.is_connected(a)]
+
+
+@pytest.mark.parametrize("m, count", [
+    (11, 138),
+    pytest.param(12, 126, marks=pytest.mark.slow),
+    pytest.param(13, 95, marks=pytest.mark.slow),
+])
+def test_walk_matches_reference_on_7_vertex_graphs(m, count):
+    # the walk against the cache-free reference walk at n = 7, on every
+    # connected graph with m edges
+    graphs = _atlas_7(m)
+    assert len(graphs) == count
+    for g in graphs:
+        assert list(oracle._maximal_feasible(g, SearchLimits(max_n=7))) == _reference_walk(g), g
