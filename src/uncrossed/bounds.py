@@ -31,6 +31,18 @@ def _root_sum_bracket(a: int, plus: int, minus: int, bits: int) -> tuple[int, in
     return (a << bits) + p - q_up, (a << bits) + p_up - q
 
 
+def root_sum_nonnegative(a: int, plus: int, minus: int) -> bool:
+    """a + sqrt(plus) - sqrt(minus) >= 0, decided exactly: the bracket is
+    refined until its sign is known.  That ends, since a zero sum has
+    equal or perfect-square radicands, and its bracket is exact."""
+    bits = 64
+    while True:
+        lo, hi = _root_sum_bracket(a, plus, minus, bits)
+        if lo >= 0 or hi < 0:
+            return lo >= 0
+        bits *= 2
+
+
 def _ceil_div_root_sum(num: int, a: int, plus: int, minus: int) -> int:
     """ceil(num / (a + sqrt(plus) - sqrt(minus))) for num >= 0 and a
     positive denominator, exactly: the bracket is refined until both its

@@ -35,9 +35,22 @@ from .oracle import (
 )
 from .render import render_json, render_record
 
+
+class _Pairs:
+    """A JSON object given as an iterable of its (key, value) pairs, read
+    once: _json_chunks writes them as they come, and no dict is built."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
 _json_str = json.encoder.encode_basestring_ascii
 _ROWS = (list, tuple)
-_CONTAINERS = (list, tuple, dict)
+_OBJECTS = (dict, _Pairs)
+_CONTAINERS = _ROWS + _OBJECTS
 
 DEFAULT_EPSILONS = "3/20,1/5,1/4,3/10,7/20,2/5,9/20"
 DEFAULT_NS = "20,40,80"
@@ -84,7 +97,8 @@ def _ints(text: str) -> list[int]:
 
 def _json_chunks(obj, nl: str = "\n"):
     """`json.dumps(obj, indent=2)` in pieces, byte for byte, except that
-    dict keys must be str (anything else raises TypeError).
+    dict keys must be str (anything else raises TypeError) and a _Pairs is
+    written as the dict of its pairs.
 
     The stdlib falls back to its pure-Python encoder whenever `indent` is
     set.  Here the bulk of a record, the ints and int pairs of a list or
@@ -100,13 +114,13 @@ def _json_chunks(obj, nl: str = "\n"):
     inner = nl + "  "
     deeper = inner + "  "
     sep = "," + inner
-    if isinstance(obj, dict):
+    if isinstance(obj, _OBJECTS):
         lead, close = "{" + inner, nl + "}"
         items = ((_json_key(key), value) for key, value in obj.items())
     else:
         lead, close = "[" + inner, nl + "]"
         items = (("", x) for x in obj)
-    run = []
+    start, run = lead, []
     for key, x in items:
         if type(x) is int:
             run.append(key + str(x))
@@ -125,7 +139,10 @@ def _json_chunks(obj, nl: str = "\n"):
         if len(run) == SLICE:
             yield lead + sep.join(run)
             lead, run = sep, []
-    yield (lead + sep.join(run) if run else "") + close
+    if lead == start and not run:  # an empty _Pairs: nothing written yet
+        yield "{}"
+    else:
+        yield (lead + sep.join(run) if run else "") + close
 
 
 def _json_key(key) -> str:
@@ -202,7 +219,7 @@ def cmd_construct(args) -> int:
     except OSError as exc:
         raise _unwritable(out, exc) from exc
     with _Output(out / "record.json") as f:
-        for chunk in _json_chunks(rec.to_json_dict()):
+        for chunk in _json_chunks(rec.to_json_dict(_Pairs)):
             f.write(chunk)
         f.write("\n")
     with _Output(out / "graph.edgelist") as f:
@@ -276,9 +293,12 @@ def cmd_verify_tightness(args) -> int:
             gap = upper - lower
             gap_witness = upper - rec.stats.m_prime
             slack = math.sqrt(6 * (n - 2)) - 3
-            if gap > slack + 1e-9:
+            # the witness lies within the slack, h_upper - m' <= sqrt(6(n-2)) - 3:
+            # with m' = 3n - 3 - x that is x <= sqrt(2m)
+            if rec.x * rec.x > 2 * rec.stats.m:
                 raise ConstructionIntegrityError(
-                    f"gap {gap} exceeds the low-order slack {slack} at (eps={eps}, n={n})"
+                    f"witness gap {gap_witness} exceeds the low-order slack {slack} "
+                    f"at (eps={eps}, n={n})"
                 )
             rows.append(
                 f"{n},{eps},{rec.x},{rec.stats.m},{rec.stats.m_prime},"

@@ -11,11 +11,12 @@ closed-form upper bound up to low-order terms.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bounds import h_upper
+from .bounds import h_upper, root_sum_nonnegative
 from .embedding import RotationSystem, trace_faces
 from .errors import ConstructionIntegrityError, MalformedCertificateError, NotApplicableError
 from .graphs import Edge, Graph
@@ -44,7 +45,9 @@ class ConstructionRecord:
     stack_hosts: tuple[tuple[int, int, int, int], ...]  # (new vertex, a, b, c)
     stats: ConstructionStats
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, make_object=dict) -> dict:
+        """The record's JSON object; make_object makes the certificate's
+        assignment, as in SubdrawingCertificate.to_json_dict."""
         return {
             "kind": "construction",
             "epsilon": str(self.epsilon_target) if self.epsilon_target is not None else None,
@@ -53,7 +56,7 @@ class ConstructionRecord:
             "x0": self.x0,
             "edges": self.graph.edges,
             "crossed": self.crossed_edges,
-            "certificate": self.certificate.to_json_dict(),
+            "certificate": self.certificate.to_json_dict(make_object),
             "coordinates": self.coordinates,
             "stack_hosts": self.stack_hosts,
             "stats": {
@@ -198,11 +201,9 @@ def build_construction(
         uncrossed += [(a, w), (b, w), (c, w)]
         hosts.append((w, a, b, c))
 
+    # the chords share the rim's vertex ids, one int object per rim vertex
     crossed = [
-        (i, j)
-        for i in range(1, x + 1)
-        for j in range(i + 1, x + 1)
-        if j - i != 1 and (i, j) != (1, x)
+        e for e in itertools.combinations(range(1, x + 1), 2) if e[1] - e[0] != 1 and e != (1, x)
     ]
     uncrossed = sorted((min(e), max(e)) for e in uncrossed)
     graph = Graph(n, tuple(uncrossed) + tuple(crossed))
@@ -274,10 +275,16 @@ def check_tightness(rec: ConstructionRecord) -> dict:
     _need(len(rec.crossed_edges) == x * (x - 3) // 2, "crossed-chord count failed")
     _need(2 * s.m >= x * x, "sqrt(2m) >= x failed")
 
+    # property 1, 0 <= 3n - 3 - m' <= sqrt(2m), and the cap m' <= h_upper(n, m),
+    # decided exactly; the floats are for the report
     lower = 3 * n - 3 - math.sqrt(2 * s.m)
-    _need(s.m_prime + 1e-9 >= lower, f"property 1 failed: {s.m_prime} < {lower}")
+    short = 3 * n - 3 - s.m_prime
+    _need(0 <= short and short * short <= 2 * s.m, f"property 1 failed: {s.m_prime} < {lower}")
     upper = h_upper(n, s.m)
-    _need(s.m_prime <= upper + 1e-9, f"witness above the closed-form cap: {s.m_prime} > {upper}")
+    _need(
+        root_sum_nonnegative(3 * n - 6 - s.m_prime, 6 * (n - 2), 2 * s.m),
+        f"witness above the closed-form cap: {s.m_prime} > {upper}",
+    )
 
     if rec.epsilon_target is None:
         raise ValueError("record carries no density target; build it via construct()")

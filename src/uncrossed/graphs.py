@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -37,14 +38,26 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        n = self.n
+        # sorted, the edges are valid iff each is in range and each is
+        # below the next; no set of them is built
+        try:
+            edges = tuple(sorted(self.edges))
+            valid = all(0 <= u < v < n for u, v in edges) and all(
+                map(operator.lt, edges, itertools.islice(edges, 1, None))
+            )
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:  # find the first fault in input order, and its message
+            seen = set()
+            for u, v in self.edges:
+                if not (0 <= u < v < n):
+                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                if (u, v) in seen:
+                    raise ValueError(f"duplicate edge ({u},{v})")
+                seen.add((u, v))
+            edges = tuple(sorted(self.edges))
+        object.__setattr__(self, "edges", edges)
 
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":

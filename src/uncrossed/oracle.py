@@ -31,6 +31,7 @@ where the full walk takes 668.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -81,12 +82,19 @@ class SubdrawingCertificate:
     rotation: RotationSystem
     face_assignment: dict[Edge, int]
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, make_object=dict) -> dict:
+        """The certificate's JSON object.  The assignment's keys "<u>-<v>"
+        come in ascending edge order, each with its face index, as pairs
+        that make_object turns into the JSON object: dict by default, or
+        a writer's own type that streams them without a string-keyed copy."""
+        assignment = self.face_assignment
         return {
             "n": self.graph.n,
             "uncrossed": self.uncrossed,
             "rotation": self.rotation.order,
-            "assignment": {f"{u}-{v}": i for (u, v), i in sorted(self.face_assignment.items())},
+            "assignment": make_object(
+                (f"{u}-{v}", assignment[u, v]) for u, v in sorted(assignment)
+            ),
         }
 
     @staticmethod
@@ -130,6 +138,16 @@ class SubdrawingCertificate:
         return SubdrawingCertificate(graph, uncrossed, rotation, assignment)
 
 
+def _holds(edges: tuple[Edge, ...], e) -> bool:
+    """e is in the sorted tuple edges; False for an e that does not
+    compare with edges."""
+    try:
+        i = bisect.bisect_left(edges, e)
+    except TypeError:
+        return False
+    return i < len(edges) and edges[i] == e
+
+
 def verify_certificate(cert: SubdrawingCertificate) -> bool:
     """Check the four witness conditions independently.
 
@@ -138,18 +156,22 @@ def verify_certificate(cert: SubdrawingCertificate) -> bool:
     a well-formed but invalid witness returns False.
     """
     g = cert.graph
-    edge_set = set(g.edges)
+    edges = g.edges  # sorted and distinct
     hset = set(cert.uncrossed)
-    if not hset <= edge_set:
+    if not all(_holds(edges, e) for e in hset):
         raise MalformedCertificateError("uncrossed contains an edge not in the graph")
     if cert.rotation.graph.n != g.n or set(cert.rotation.graph.edges) != hset:
         raise MalformedCertificateError("rotation is not over the uncrossed subgraph")
-    # with H a subset of E and dict keys distinct, the keys are E - H iff
-    # there are |E| - |H| of them and none lies outside E or inside H
+    # with H a subset of E, the keys are E - H iff H and the keys, sorted
+    # together, are E
     assignment = cert.face_assignment
-    if len(assignment) != len(edge_set) - len(hset) or not all(
-        e in edge_set and e not in hset for e in assignment
-    ):
+    try:
+        exact = len(assignment) == len(edges) - len(hset) and all(
+            map(operator.eq, sorted(itertools.chain(hset, assignment)), edges)
+        )
+    except TypeError:  # a key that does not compare with edges
+        exact = False
+    if not exact:
         raise MalformedCertificateError("assignment keys must be exactly the crossed edges")
     faces = trace_faces(cert.rotation)
     f = len(faces)
@@ -170,15 +192,6 @@ def verify_certificate(cert: SubdrawingCertificate) -> bool:
         if u not in verts or v not in verts:
             return False
     return True
-
-
-class _Deadline:
-    def __init__(self, seconds: float | None):
-        self.at = time.monotonic() + seconds if seconds else None
-
-    def check(self):
-        if self.at is not None and time.monotonic() > self.at:
-            raise SearchBudgetError("time budget exceeded")
 
 
 def _crossed(g: Graph, hedges) -> tuple[Edge, ...]:
@@ -264,7 +277,7 @@ def _walk(g: Graph, limits: SearchLimits):
         raise ValueError("oracle search expects a connected graph")
     if g.n > limits.max_n:
         raise SearchBudgetError(f"n={g.n} exceeds max_n={limits.max_n}")
-    deadline = _Deadline(limits.time_budget)
+    deadline = None if limits.time_budget is None else time.monotonic() + limits.time_budget
     m = g.m
     bits = [1 << i for i in range(m)]
     bit = dict(zip(g.edges, bits))
@@ -279,7 +292,8 @@ def _walk(g: Graph, limits: SearchLimits):
             itertools.combinations(holders, size) if above else itertools.repeat(()),
         )
         for mask, held in level:
-            deadline.check()
+            if deadline is not None and time.monotonic() > deadline:
+                raise SearchBudgetError("time budget exceeded")
             if mask in infeasible or above and functools.reduce(operator.and_, held):
                 continue
             hedges = tuple(e for e, b in zip(g.edges, bits) if mask & b)

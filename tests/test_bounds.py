@@ -18,6 +18,7 @@ from uncrossed.bounds import (
     exact_unc_complete,
     h_upper,
     h_upper_triangle_free,
+    root_sum_nonnegative,
     simple_bound,
     unc_from_h,
     unc_lower,
@@ -86,6 +87,24 @@ def test_ceilings_match_exact_reference_near_integers():
     assert len(near) == 5691
     for fn, n, m, num, c, plus, minus in near:
         assert fn(n, m) == _ceil_div_reference(num, c, plus, minus), (fn.__name__, n, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plus=st.integers(0, 10**30), minus=st.integers(0, 10**30), d=st.integers(-2, 2),
+       square=st.booleans())
+def test_root_sum_nonnegative_matches_squaring(plus, minus, d, square):
+    # a near sqrt(minus) - sqrt(plus), where the sign is hardest to tell;
+    # with perfect squares the sum can be exactly 0
+    if square:
+        plus, minus = plus * plus, minus * minus
+    a = math.isqrt(minus) - math.isqrt(plus) + d
+    assert root_sum_nonnegative(a, plus, minus) == _at_least(Fraction(a), plus, minus)
+
+
+def test_root_sum_nonnegative_at_zero():
+    assert root_sum_nonnegative(0, 7, 7) and not root_sum_nonnegative(-1, 7, 7)
+    assert root_sum_nonnegative(1, 4, 9) and not root_sum_nonnegative(0, 4, 9)
+    assert root_sum_nonnegative(1, 16, 25) and not root_sum_nonnegative(0, 16, 25)
 
 
 def test_unc_lower_quadratic():

@@ -3,7 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_util import small_connected_corpus
@@ -160,3 +160,49 @@ def test_automorphisms_match_brute_force():
     cycle7 = Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
     assert len(automorphisms(make_complete(7))) == 5040
     assert len(automorphisms(cycle7)) == 14
+
+
+def _input_order_graph(n, edges):
+    # Graph's checks as one loop in input order, with a set of the edges
+    # seen: the edges it stores, or the first fault it raises
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if (u, v) in seen:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+    return tuple(sorted(edges))
+
+
+def _outcome(build, n, edges):
+    try:
+        return build(n, edges)
+    except Exception as exc:  # the type and the message, to compare
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(n=st.integers(1, 6),
+       edges=st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7)), max_size=12))
+def test_graph_faults_match_input_order_loop(n, edges):
+    # out of range, u >= v and duplicates, several in one input and in any
+    # order: the sorted check stores or raises what the loop did
+    edges = tuple(edges)
+    built = _outcome(lambda n, edges: Graph(n, edges).edges, n, edges)
+    assert built == _outcome(_input_order_graph, n, edges)
+
+
+@pytest.mark.parametrize("edges", [
+    ((0, 1), (0, "a")),
+    ((0, "a"), (0, 1)),
+    ((0, 1), 5),
+    ((0, 1), (0, 1, 2)),
+    ((0, 1), (1, 2), (0, 1), (0, 2.5)),
+    ((1, 2), (0, 1.0), (0, 1)),
+    ((0, 1), (1, None)),
+    5,
+])
+def test_graph_type_faults_match_input_order_loop(edges):
+    built = _outcome(lambda n, edges: Graph(n, edges).edges, 3, edges)
+    assert built == _outcome(_input_order_graph, 3, edges)

@@ -101,6 +101,51 @@ def test_verify_assignment_keys_exactly_crossed(keys):
         verify_certificate(bad)
 
 
+def _set_based_structure_fault(cert):
+    # the structural checks as verify_certificate made them with sets of
+    # the edges: the message of the first fault, or None
+    edge_set = set(cert.graph.edges)
+    hset = set(cert.uncrossed)
+    if not hset <= edge_set:
+        return "uncrossed contains an edge not in the graph"
+    if cert.rotation.graph.n != cert.graph.n or set(cert.rotation.graph.edges) != hset:
+        return "rotation is not over the uncrossed subgraph"
+    keys = cert.face_assignment
+    if len(keys) != len(edge_set) - len(hset) or not all(
+        e in edge_set and e not in hset for e in keys
+    ):
+        return "assignment keys must be exactly the crossed edges"
+    return None
+
+
+ODD_KEYS = ["1-3", 5, None, (1,), (1, 3, 0), (1, "3"), ("1", 3), (1.0, 3.0), (2.0, 4),
+            frozenset({1, 3})]
+
+
+@pytest.mark.parametrize("keys", [
+    [(1, 3), (2, 4)],  # the crossed edges
+    [(1, 3), (0, 1)],  # a key inside H
+    [(1, 3), (5, 6)],  # a key outside E
+    [(2, 4)],  # a key missing
+    *([(1, 3), odd] for odd in ODD_KEYS),  # a key that is not an int pair
+    *([odd] for odd in ODD_KEYS),
+])
+@pytest.mark.parametrize("uncrossed", [None, ((0, 1), (0, 5)), ((0, 1), "0-2"), ((0, 1), (0, "a"))])
+def test_verify_structure_matches_set_based_checks(keys, uncrossed):
+    # the sorted-edge checks raise what the set-based ones raised, and a
+    # certificate they pass gets the same verdict
+    k5, cert = wheel_certificate_in_k5()
+    if uncrossed is not None:
+        cert = SubdrawingCertificate(k5, uncrossed, cert.rotation, cert.face_assignment)
+    bad = SubdrawingCertificate(k5, cert.uncrossed, cert.rotation, dict.fromkeys(keys, 0))
+    fault = _set_based_structure_fault(bad)
+    if fault is None:
+        assert verify_certificate(bad) is False  # face 0 does not hold (2, 4)
+    else:
+        with pytest.raises(MalformedCertificateError, match=f"^{fault}$"):
+            verify_certificate(bad)
+
+
 def test_verify_rejects_genus_one_rotation():
     k4 = make_complete(4)
     rotation = next(r for r in enumerate_rotation_systems(k4) if genus(r) == 1)
@@ -436,7 +481,7 @@ def test_orbit_cache_walk_matches_reference():
 
 
 def test_walk_matches_reference_on_small_graphs():
-    # the derived size levels hold exactly the candidates of the reference
+    # the combinations walk meets exactly the candidates of the reference
     # walk, in its order: every connected graph with n <= 5, K_{3,3}, the
     # wheel on 6 vertices, and the 6-vertex graphs with 11 to 13 edges,
     # the smallest whose maximal sets come in more than one size
