@@ -36,21 +36,23 @@ from .oracle import (
 from .render import render_json, render_record
 
 
-class _Pairs:
-    """A JSON object given as an iterable of its (key, value) pairs, read
-    once: _json_chunks writes them as they come, and no dict is built."""
+class _Assignment:
+    """A certificate's face assignment, keyed by edge, that _json_chunks
+    writes as the JSON object {"<u>-<v>": face} in ascending edge order,
+    with no "<u>-<v>" string built before it is written."""
 
-    def __init__(self, pairs):
-        self.pairs = pairs
+    def __init__(self, assignment):
+        self.assignment = assignment
 
-    def items(self):
-        return self.pairs
+    def __len__(self):
+        return len(self.assignment)
 
 
 _json_str = json.encoder.encode_basestring_ascii
 _ROWS = (list, tuple)
-_OBJECTS = (dict, _Pairs)
+_OBJECTS = (dict, _Assignment)
 _CONTAINERS = _ROWS + _OBJECTS
+_PAIR_ROWS = set(_ROWS)
 
 DEFAULT_EPSILONS = "3/20,1/5,1/4,3/10,7/20,2/5,9/20"
 DEFAULT_NS = "20,40,80"
@@ -95,54 +97,162 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _json_chunks(obj, nl: str = "\n"):
+def _json_chunks(obj, nl: str = "\n", tables=None):
     """`json.dumps(obj, indent=2)` in pieces, byte for byte, except that
-    dict keys must be str (anything else raises TypeError) and a _Pairs is
-    written as the dict of its pairs.
+    dict keys must be str (anything else raises TypeError) and an
+    _Assignment is written as the JSON object of its assignment.
 
     The stdlib falls back to its pure-Python encoder whenever `indent` is
-    set.  Here the bulk of a record, the ints and int pairs of a list or
-    tuple (edge lists, rotations) and the int values of a dict (face
-    assignments), is written with one f-string per item; scalars and empty
-    containers are `json.dumps`'s, and other items recurse.  Runs of such
-    flat items are joined into pieces of at most SLICE items, so no whole
-    document is built.  nl is the newline plus the current indent.
+    set.  Here items are read in blocks of at most SLICE.  A block of a
+    list or tuple whose every item is a pair of non-negative ints (edge
+    lists), and a block of an _Assignment with such edges and int faces,
+    is joined from per-id text tables (an _IdTable per indent, held in
+    tables for the whole document) by one list comprehension.  Any other
+    block is written item by item: ints and int pairs with one f-string
+    each, scalars by `json.dumps`, and other containers recurse.  No
+    piece holds more than SLICE items, so no whole document is built.
+    nl is the newline plus the current indent.
     """
-    if not (isinstance(obj, _CONTAINERS) and obj):
+    if not isinstance(obj, _CONTAINERS):
         yield json.dumps(obj)
         return
+    if not obj:
+        yield _empty(obj)
+        return
+    if tables is None:
+        tables = {}
     inner = nl + "  "
     deeper = inner + "  "
     sep = "," + inner
-    if isinstance(obj, _OBJECTS):
+    if isinstance(obj, dict):
         lead, close = "{" + inner, nl + "}"
-        items = ((_json_key(key), value) for key, value in obj.items())
+        blocks = [(None, 0, ((_json_key(key), value) for key, value in obj.items()))]
+    elif isinstance(obj, _Assignment):
+        lead, close = "{" + inner, nl + "}"
+        blocks = _assignment_blocks(obj.assignment, tables)
     else:
         lead, close = "[" + inner, nl + "]"
-        items = (("", x) for x in obj)
-    start, run = lead, []
-    for key, x in items:
-        if type(x) is int:
-            run.append(key + str(x))
-        elif type(x) in _ROWS and len(x) == 2 and type(x[0]) is int and type(x[1]) is int:
-            run.append(f"{key}[{deeper}{x[0]},{deeper}{x[1]}{inner}]")
-        elif not (isinstance(x, _CONTAINERS) and x):
-            run.append(key + json.dumps(x))
-        else:
-            if run:
+        blocks = _row_blocks(obj, nl, tables)
+    run, count = [], 0  # formatted text not yet written, and how many items it holds
+    for texts, size, items in blocks:
+        if texts is not None:
+            if count + size > SLICE:
                 yield lead + sep.join(run)
-                lead, run = sep, []
-            yield lead + key
-            lead = sep
-            yield from _json_chunks(x, inner)
+                lead, run, count = sep, [], 0
+            run.append(sep.join(texts))
+            count += size
+            if count == SLICE:
+                yield lead + sep.join(run)
+                lead, run, count = sep, [], 0
             continue
-        if len(run) == SLICE:
-            yield lead + sep.join(run)
-            lead, run = sep, []
-    if lead == start and not run:  # an empty _Pairs: nothing written yet
-        yield "{}"
-    else:
-        yield (lead + sep.join(run) if run else "") + close
+        for key, x in items:
+            if type(x) is int:
+                run.append(key + str(x))
+            elif type(x) in _ROWS and len(x) == 2 and type(x[0]) is int and type(x[1]) is int:
+                run.append(f"{key}[{deeper}{x[0]},{deeper}{x[1]}{inner}]")
+            elif not isinstance(x, _CONTAINERS):
+                run.append(key + json.dumps(x))
+            elif not x:
+                run.append(key + _empty(x))
+            else:
+                if run:
+                    yield lead + sep.join(run)
+                    lead, run, count = sep, [], 0
+                yield lead + key
+                lead = sep
+                yield from _json_chunks(x, inner, tables)
+                continue
+            count += 1
+            if count == SLICE:
+                yield lead + sep.join(run)
+                lead, run, count = sep, [], 0
+    yield (lead + sep.join(run) if run else "") + close
+
+
+def _empty(obj) -> str:
+    return "{}" if isinstance(obj, _OBJECTS) else "[]"
+
+
+class _IdTable:
+    """The text before and after each id of a pair, left(i) and right(i),
+    made once per id and grown as larger ids are met."""
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+        self.lefts, self.rights = [], []
+
+    def texts(self, make, block, limit):
+        """make(lefts, rights) on the block, grown over the block's ids
+        if one is beyond the table; None when a row is not a pair or an
+        int id is limit or more."""
+        try:
+            try:
+                return make(self.lefts, self.rights)
+            except IndexError:
+                size = 1 + max(x for row in block for x in row if type(x) is int)
+                if size > limit:
+                    return None
+                ids = range(len(self.lefts), size)
+                self.lefts += map(self.left, ids)
+                self.rights += map(self.right, ids)
+                return make(self.lefts, self.rights)
+        except ValueError:  # a row that is not a pair
+            return None
+
+
+def _row_blocks(rows, nl, tables):
+    """The items of a JSON array in blocks of at most SLICE: (texts, size,
+    None) for a block of pairs of non-negative ints, else (None, size, its
+    (key, item)s).  An id table covers ids below twice the array's
+    length, so a block of pairs whose ids are sparse goes item by item."""
+    inner = nl + "  "
+    deeper = inner + "  "
+    table = tables.get(nl)
+    if table is None:
+        table = tables[nl] = _IdTable(lambda u: f"[{deeper}{u},{deeper}", lambda v: f"{v}{inner}]")
+
+    def make(lefts, rights):  # on the loop's current block
+        # the filter keeps bools, floats and negative ids off the tables
+        return [lefts[u] + rights[v] for u, v in block if type(u) is int is type(v) and u >= 0 <= v]
+
+    for i in range(0, len(rows), SLICE):
+        block = rows[i:i + SLICE]
+        texts = None
+        if {*map(type, block)} <= _PAIR_ROWS:
+            texts = table.texts(make, block, 2 * len(rows))
+        if texts is None or len(texts) < len(block):
+            yield None, len(block), (("", x) for x in block)
+        else:
+            yield texts, len(block), None
+
+
+def _assignment_blocks(assignment, tables):
+    """The entries of a face assignment in ascending edge order, in blocks
+    as _row_blocks gives them: texts for a block whose edges are tuples of
+    two non-negative ints and whose faces are ints, else each entry's key
+    text and face."""
+    table = tables.get("assignment")
+    if table is None:
+        table = tables["assignment"] = _IdTable(lambda u: f'"{u}-', lambda v: f'{v}": ')
+
+    def make(lefts, rights):  # on the loop's current block and its faces
+        return [
+            f"{lefts[u]}{rights[v]}{face}"
+            for (u, v), face in zip(block, faces)
+            if type(u) is int is type(v) is type(face) and u >= 0 <= v
+        ]
+
+    keys = sorted(assignment)
+    for i in range(0, len(keys), SLICE):
+        block = keys[i:i + SLICE]
+        faces = list(map(assignment.__getitem__, block))
+        texts = None
+        if {*map(type, block)} == {tuple}:
+            texts = table.texts(make, block, 2 * len(keys))
+        if texts is None or len(texts) < len(block):
+            yield None, len(block), ((_json_str(f"{u}-{v}") + ": ", assignment[u, v]) for u, v in block)
+        else:
+            yield texts, len(block), None
 
 
 def _json_key(key) -> str:
@@ -219,7 +329,7 @@ def cmd_construct(args) -> int:
     except OSError as exc:
         raise _unwritable(out, exc) from exc
     with _Output(out / "record.json") as f:
-        for chunk in _json_chunks(rec.to_json_dict(_Pairs)):
+        for chunk in _json_chunks(rec.to_json_dict(_Assignment)):
             f.write(chunk)
         f.write("\n")
     with _Output(out / "graph.edgelist") as f:

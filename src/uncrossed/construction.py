@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -45,9 +46,9 @@ class ConstructionRecord:
     stack_hosts: tuple[tuple[int, int, int, int], ...]  # (new vertex, a, b, c)
     stats: ConstructionStats
 
-    def to_json_dict(self, make_object=dict) -> dict:
-        """The record's JSON object; make_object makes the certificate's
-        assignment, as in SubdrawingCertificate.to_json_dict."""
+    def to_json_dict(self, make_assignment=None) -> dict:
+        """The record's JSON object; make_assignment makes the
+        certificate's assignment, as in SubdrawingCertificate.to_json_dict."""
         return {
             "kind": "construction",
             "epsilon": str(self.epsilon_target) if self.epsilon_target is not None else None,
@@ -56,7 +57,7 @@ class ConstructionRecord:
             "x0": self.x0,
             "edges": self.graph.edges,
             "crossed": self.crossed_edges,
-            "certificate": self.certificate.to_json_dict(make_object),
+            "certificate": self.certificate.to_json_dict(make_assignment),
             "coordinates": self.coordinates,
             "stack_hosts": self.stack_hosts,
             "stats": {
@@ -119,9 +120,12 @@ class ConstructionRecord:
             raise MalformedCertificateError(
                 f"{len(coordinates)} coordinates for {graph.n} vertices"
             )
-        if not set(crossed) <= set(graph.edges):
-            raise MalformedCertificateError("a crossed edge is not an edge of the graph")
-        if len(set(crossed)) != len(crossed):
+        # sorted, the crossed edges are a strictly ascending run through the
+        # graph's sorted edges: each is found after the one before it
+        rest = iter(graph.edges)
+        if not all(map(operator.contains, itertools.repeat(rest), sorted(crossed))):
+            if not set(crossed) <= set(graph.edges):
+                raise MalformedCertificateError("a crossed edge is not an edge of the graph")
             raise MalformedCertificateError("a crossed edge is named twice")
         return record
 
@@ -201,10 +205,12 @@ def build_construction(
         uncrossed += [(a, w), (b, w), (c, w)]
         hosts.append((w, a, b, c))
 
-    # the chords share the rim's vertex ids, one int object per rim vertex
-    crossed = [
-        e for e in itertools.combinations(range(1, x + 1), 2) if e[1] - e[0] != 1 and e != (1, x)
-    ]
+    # every rim pair that is not a rim edge, in ascending order, sharing
+    # the rim's vertex ids: one int object per rim vertex
+    rim = list(range(1, x + 1))
+    crossed = list(zip(itertools.repeat(1), rim[2:-1]))  # (1, x) closes the rim
+    for i in range(1, x):
+        crossed += zip(itertools.repeat(rim[i]), rim[i + 2:])
     uncrossed = sorted((min(e), max(e)) for e in uncrossed)
     graph = Graph(n, tuple(uncrossed) + tuple(crossed))
 
@@ -213,7 +219,7 @@ def build_construction(
     rim = set(range(1, x + 1))
     outer = [i for i, f in enumerate(final_faces) if f.vertices <= rim]
     _need(len(outer) == 1, f"{len(outer)} rim-only faces, not 1")
-    assignment = {e: outer[0] for e in crossed}
+    assignment = dict.fromkeys(crossed, outer[0])
     certificate = SubdrawingCertificate(graph, tuple(uncrossed), rotation, assignment)
 
     m = graph.m

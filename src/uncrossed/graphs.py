@@ -43,7 +43,7 @@ class Graph:
         # below the next; no set of them is built
         try:
             edges = tuple(sorted(self.edges))
-            valid = all(0 <= u < v < n for u, v in edges) and all(
+            valid = all([0 <= u < v < n for u, v in edges]) and all(
                 map(operator.lt, edges, itertools.islice(edges, 1, None))
             )
         except (TypeError, ValueError):
@@ -254,17 +254,22 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def write_lines(out, lines) -> None:
-    """Write each line and a newline to the text stream out, SLICE lines
-    per call."""
-    lines = iter(lines)
-    while batch := list(itertools.islice(lines, SLICE)):
-        out.write("\n".join(batch) + "\n")
-
-
 def write_edge_list(g: Graph, out) -> None:
-    """Write serialize_edge_list(g) to the text stream out."""
-    write_lines(out, itertools.chain((f"{g.n} {g.m}",), (f"{u} {v}" for u, v in g.edges)))
+    """Write serialize_edge_list(g) to the text stream out: the header,
+    then SLICE edge lines per write, each joined from per-vertex texts
+    "u " and "v\n"."""
+    out.write(f"{g.n} {g.m}\n")
+    firsts = [f"{u} " for u in range(g.n)]
+    seconds = [f"{v}\n" for v in range(g.n)]
+    edges = g.edges
+    for i in range(0, len(edges), SLICE):
+        block = edges[i:i + SLICE]
+        # a valid graph's int ids are in range(n); the filter keeps ids
+        # that compare as ints but print otherwise (bools, floats) off
+        lines = [firsts[u] + seconds[v] for u, v in block if type(u) is int is type(v)]
+        if len(lines) < len(block):
+            lines = [f"{u} {v}\n" for u, v in block]
+        out.write("".join(lines))
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -46,7 +46,7 @@ from .embedding import (
     trace_faces,
 )
 from .errors import MalformedCertificateError, SearchBudgetError
-from .graphs import Edge, Graph, automorphisms, connected_spanning
+from .graphs import SLICE, Edge, Graph, automorphisms, connected_spanning
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,7 @@ DEFAULT_LIMITS = SearchLimits()
 DEFAULT_UNC_LIMITS = SearchLimits(max_n=6)
 
 _EDGE_KEY = re.compile(r"([0-9]+)-([0-9]+)")
+_EDGE_KEYS = r"[0-9]+-[0-9]+(?:,[0-9]+-[0-9]+)*"  # compiled at first use
 
 
 def all_json_ints(*rows) -> bool:
@@ -82,19 +83,21 @@ class SubdrawingCertificate:
     rotation: RotationSystem
     face_assignment: dict[Edge, int]
 
-    def to_json_dict(self, make_object=dict) -> dict:
-        """The certificate's JSON object.  The assignment's keys "<u>-<v>"
-        come in ascending edge order, each with its face index, as pairs
-        that make_object turns into the JSON object: dict by default, or
-        a writer's own type that streams them without a string-keyed copy."""
+    def to_json_dict(self, make_assignment=None) -> dict:
+        """The certificate's JSON object.  Its "assignment" is
+        make_assignment(face_assignment) when given, such as a writer's own
+        type that streams the edge-keyed dict; by default the dict of
+        "<u>-<v>" keys, in ascending edge order, to face indices."""
         assignment = self.face_assignment
+        if make_assignment is None:
+            assignment = {f"{u}-{v}": assignment[u, v] for u, v in sorted(assignment)}
+        else:
+            assignment = make_assignment(assignment)
         return {
             "n": self.graph.n,
             "uncrossed": self.uncrossed,
             "rotation": self.rotation.order,
-            "assignment": make_object(
-                (f"{u}-{v}", assignment[u, v]) for u, v in sorted(assignment)
-            ),
+            "assignment": assignment,
         }
 
     @staticmethod
@@ -112,30 +115,64 @@ class SubdrawingCertificate:
             if not all_json_ints((n,), *pairs, *orders):
                 raise MalformedCertificateError("n and every vertex id must be integers")
             uncrossed = tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
-            named = set(uncrossed)
-            assignment = {}
-            for key, idx in data["assignment"].items():
-                match = _EDGE_KEY.fullmatch(key)
-                if match is None:
-                    raise MalformedCertificateError(f"assignment key {key!r} is not <u>-<v>")
-                u, v = int(match[1]), int(match[2])
-                e = (min(u, v), max(u, v))
-                if e in named:
-                    raise MalformedCertificateError(f"edge {key} is named twice")
-                if type(idx) is not int:
-                    raise MalformedCertificateError(
-                        f"face index {idx!r} of {key} is not an integer"
-                    )
-                named.add(e)
-                assignment[e] = idx
+            assignment = _edge_keyed(data["assignment"])
+            if assignment is not None:  # no edge named twice: sorted, all are ascending
+                named = sorted(itertools.chain(uncrossed, assignment))
+                if not all(map(operator.lt, named, itertools.islice(named, 1, None))):
+                    assignment = None
+            if assignment is None:  # find the first fault, and its message, key by key
+                assignment, named = _edge_keyed_by_loop(data["assignment"], uncrossed)
             if graph is None:
-                graph = Graph(n, tuple(sorted(named)))
+                graph = Graph(n, tuple(named))
             elif graph.n != n:
                 raise MalformedCertificateError(f"certificate on {n} vertices for {graph.n}")
             rotation = RotationSystem(Graph(n, uncrossed), orders)
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise MalformedCertificateError(f"bad certificate JSON: {exc}") from exc
         return SubdrawingCertificate(graph, uncrossed, rotation, assignment)
+
+
+def _edge_keyed(assignment) -> dict[Edge, int] | None:
+    """A JSON assignment keyed by edge, in its key order, when it is a dict
+    whose keys are "<u>-<v>" in decimal digits, no two for one edge, and
+    whose face indices are ints; else None.  The keys are read SLICE at a
+    time, with one regex match and one split."""
+    if type(assignment) is not dict or {*map(type, assignment.values())} - {int}:
+        return None
+    edges = []
+    keys = iter(assignment)
+    try:
+        while block := list(itertools.islice(keys, SLICE)):
+            text = ",".join(block)
+            if text.count(",") != len(block) - 1 or not re.fullmatch(_EDGE_KEYS, text):
+                return None
+            ids = list(map(int, text.replace("-", ",").split(",")))
+            us, vs = ids[0::2], ids[1::2]
+            edges += zip(map(min, us, vs), map(max, us, vs))
+    except TypeError:  # a key that is not a str
+        return None
+    keyed = dict(zip(edges, assignment.values()))
+    return keyed if len(keyed) == len(assignment) else None
+
+
+def _edge_keyed_by_loop(assignment, uncrossed):
+    """The assignment keyed by edge and the sorted edges that it and the
+    uncrossed edges name, key by key; raises at the first fault."""
+    named = set(uncrossed)
+    keyed = {}
+    for key, idx in assignment.items():
+        match = _EDGE_KEY.fullmatch(key)
+        if match is None:
+            raise MalformedCertificateError(f"assignment key {key!r} is not <u>-<v>")
+        u, v = int(match[1]), int(match[2])
+        e = (min(u, v), max(u, v))
+        if e in named:
+            raise MalformedCertificateError(f"edge {key} is named twice")
+        if type(idx) is not int:
+            raise MalformedCertificateError(f"face index {idx!r} of {key} is not an integer")
+        named.add(e)
+        keyed[e] = idx
+    return keyed, sorted(named)
 
 
 def _holds(edges: tuple[Edge, ...], e) -> bool:
@@ -148,12 +185,14 @@ def _holds(edges: tuple[Edge, ...], e) -> bool:
     return i < len(edges) and edges[i] == e
 
 
-def verify_certificate(cert: SubdrawingCertificate) -> bool:
+def verify_certificate(cert: SubdrawingCertificate, faces_out: list | None = None) -> bool:
     """Check the four witness conditions independently.
 
     Structural garbage (edges outside the graph, dangling face indices,
     rotation over the wrong edge set) raises MalformedCertificateError;
-    a well-formed but invalid witness returns False.
+    a well-formed but invalid witness returns False.  A certificate that
+    verifies leaves the faces of its rotation in faces_out, when given,
+    so that a caller need not trace them again.
     """
     g = cert.graph
     edges = g.edges  # sorted and distinct
@@ -191,6 +230,8 @@ def verify_certificate(cert: SubdrawingCertificate) -> bool:
         verts = faces[idx].vertices
         if u not in verts or v not in verts:
             return False
+    if faces_out is not None:
+        faces_out[:] = faces
     return True
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .construction import ConstructionRecord
 from .embedding import trace_faces
 from .errors import ConstructionIntegrityError, MalformedCertificateError
-from .graphs import connected_spanning, write_lines
+from .graphs import SLICE, connected_spanning
 from .oracle import SubdrawingCertificate, verify_certificate
 
 
@@ -46,14 +46,17 @@ def _solve(a: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Frac
     return [row[k:] for row in rows]
 
 
-def barycentric_layout(cert: SubdrawingCertificate) -> list[tuple[float, float]]:
-    """Pin the first traced face on a circle, average the rest into place."""
+def barycentric_layout(cert: SubdrawingCertificate, faces=None) -> list[tuple[float, float]]:
+    """Pin the first traced face on a circle, average the rest into place;
+    faces is the rotation's trace, traced here when not given."""
     rotation = cert.rotation
     n = rotation.graph.n
     if rotation.graph.m == 0:  # no faces to trace: a lone vertex sits at the centre
         return [(0.0, 0.0)] * n
+    if faces is None:
+        faces = trace_faces(rotation)
     outer: list[int] = []
-    for u, _ in trace_faces(rotation)[0].walk:
+    for u, _ in faces[0].walk:
         if u not in outer:
             outer.append(u)
     coords = [(0.0, 0.0)] * n
@@ -80,77 +83,96 @@ def barycentric_layout(cert: SubdrawingCertificate) -> list[tuple[float, float]]
     return coords
 
 
-def _write_svg(out, body, xmin, ymin, width, height) -> None:
-    """Write the SVG document holding the body lines to the text stream out."""
+def _write_svg(out, chunks, xmin, ymin, width, height) -> None:
+    """Write the SVG document holding the body text chunks to the text
+    stream out."""
     out.write(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{_fmt(xmin)} {_fmt(ymin)} {_fmt(width)} {_fmt(height)}">\n'
     )
-    write_lines(out, body)
+    for chunk in chunks:
+        out.write(chunk)
     out.write("</svg>\n")
 
 
-def _drawing_lines(coords, solid_edges, dotted):
-    """Solid segments, dotted arcs through their control points, then the
-    vertex dots; each vertex's coordinates are formatted once."""
+def _drawing_lines(coords, solid_edges, dotted_edges, arcs):
+    """Solid segments, dotted arcs, then the vertex dots, as text of at
+    most SLICE lines a piece.
+
+    Each vertex's coordinates are formatted once, into the text of a line
+    or an arc before and after them.  arcs(block, heads, tails) lists the
+    arc of each dotted edge (u, v) of a block as heads[u], its control
+    point formatted .4f, and tails[v].  A .4f field that reads -0.0000 is
+    negative zero, which the drawing writes as 0.0000.
+    """
     pts = [(_fmt(x), _fmt(y)) for x, y in coords]
-    for u, v in solid_edges:
-        (x1, y1), (x2, y2) = pts[u], pts[v]
-        yield (
-            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-            'stroke="black" stroke-width="0.02"/>'
-        )
-    for (u, v), (cx, cy) in dotted:
-        (x1, y1), (x2, y2) = pts[u], pts[v]
-        yield (
-            f'<path d="M {x1} {y1} Q {_fmt(cx)} {_fmt(cy)} {x2} {y2}" '
-            'fill="none" stroke="black" stroke-width="0.02" stroke-dasharray="0.05,0.05"/>'
-        )
-    for x, y in pts:
-        yield (
-            f'<circle cx="{x}" cy="{y}" r="0.05" fill="white" '
-            'stroke="black" stroke-width="0.02"/>'
-        )
-
-
-def _outward_control(p1, p2, radius: float) -> tuple[float, float]:
-    """Control point pushing the chord's arc outside a circle of the
-    given radius around the origin."""
-    mx, my = (p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2
-    norm = math.hypot(mx, my)
-    if norm < 1e-9:  # diameter chord: bulge perpendicular to it
-        dx, dy = p2[0] - p1[0], p2[1] - p1[1]
-        dn = math.hypot(dx, dy) or 1.0  # coincident endpoints: any point will do
-        mx, my = -dy / dn, dx / dn
-        norm = 1.0
-    scale = 2.2 * radius / norm
-    return (mx * scale, my * scale)
+    heads = [f'<line x1="{x}" y1="{y}" x2="' for x, y in pts]
+    tails = [f'{x}" y2="{y}" stroke="black" stroke-width="0.02"/>\n' for x, y in pts]
+    for i in range(0, len(solid_edges), SLICE):
+        yield "".join([heads[u] + tails[v] for u, v in solid_edges[i:i + SLICE]])
+    heads = [f'<path d="M {x} {y} Q ' for x, y in pts]
+    tails = [
+        f'{x} {y}" fill="none" stroke="black" stroke-width="0.02" stroke-dasharray="0.05,0.05"/>\n'
+        for x, y in pts
+    ]
+    for i in range(0, len(dotted_edges), SLICE):
+        yield "".join(arcs(dotted_edges[i:i + SLICE], heads, tails)).replace("-0.0000", "0.0000")
+    for i in range(0, len(pts), SLICE):
+        yield "".join([
+            f'<circle cx="{x}" cy="{y}" r="0.05" fill="white" stroke="black" stroke-width="0.02"/>\n'
+            for x, y in pts[i:i + SLICE]
+        ])
 
 
 def render_record(rec: ConstructionRecord, out) -> None:
-    """Write the record's drawing, as stored, to the text stream out."""
+    """Write the record's drawing, as stored, to the text stream out; each
+    chord's arc bulges outside the unit rim circle."""
     coords = rec.coordinates
-    dotted = ((e, _outward_control(coords[e[0]], coords[e[1]], 1.0)) for e in rec.crossed_edges)
-    _write_svg(out, _drawing_lines(coords, rec.certificate.uncrossed, dotted), -2.5, -2.5, 5.0, 5.0)
+    hypot = math.hypot
+
+    def arcs(block, heads, tails):
+        lines = []
+        for u, v in block:
+            (x1, y1), (x2, y2) = coords[u], coords[v]
+            mx, my = (x1 + x2) / 2, (y1 + y2) / 2
+            norm = hypot(mx, my)
+            if norm < 1e-9:  # diameter chord: bulge perpendicular to it
+                dx, dy = x2 - x1, y2 - y1
+                dn = hypot(dx, dy) or 1.0  # coincident endpoints: any point will do
+                mx, my = -dy / dn, dx / dn
+                norm = 1.0
+            scale = 2.2 / norm  # 2.2 rim radii out
+            lines.append(f"{heads[u]}{mx * scale:.4f} {my * scale:.4f} {tails[v]}")
+        return lines
+
+    body = _drawing_lines(coords, rec.certificate.uncrossed, rec.crossed_edges, arcs)
+    _write_svg(out, body, -2.5, -2.5, 5.0, 5.0)
 
 
-def render_certificate(cert: SubdrawingCertificate, offset: float = 0.0):
-    """The SVG lines of one certificate's panel; the layout is computed
-    before this returns, and the lines are formatted as they are read."""
-    coords = [(x + offset, y) for x, y in barycentric_layout(cert)]
-    dotted = []
-    for u, v in sorted(cert.face_assignment):
-        (x1, y1), (x2, y2) = coords[u], coords[v]
-        dx, dy = x2 - x1, y2 - y1
-        dn = math.hypot(dx, dy) or 1.0
-        cx = (x1 + x2) / 2 - 0.35 * dy / dn
-        cy = (y1 + y2) / 2 + 0.35 * dx / dn
-        dotted.append(((u, v), (cx, cy)))
-    return _drawing_lines(coords, cert.uncrossed, dotted)
+def render_certificate(cert: SubdrawingCertificate, faces, offset: float = 0.0):
+    """The SVG text of one certificate's panel, laid out on faces, its
+    rotation's trace; the layout is computed before this returns, and the
+    text is formatted as it is read."""
+    coords = [(x + offset, y) for x, y in barycentric_layout(cert, faces)]
+    hypot = math.hypot
+
+    def arcs(block, heads, tails):
+        lines = []
+        for u, v in block:
+            (x1, y1), (x2, y2) = coords[u], coords[v]
+            dx, dy = x2 - x1, y2 - y1
+            dn = hypot(dx, dy) or 1.0
+            cx = (x1 + x2) / 2 - 0.35 * dy / dn
+            cy = (y1 + y2) / 2 + 0.35 * dx / dn
+            lines.append(f"{heads[u]}{cx:.4f} {cy:.4f} {tails[v]}")
+        return lines
+
+    return _drawing_lines(coords, cert.uncrossed, sorted(cert.face_assignment), arcs)
 
 
-def _verified_certificate(data: dict) -> SubdrawingCertificate:
-    """Parse and re-verify one certificate before it is drawn.
+def _verified_certificate(data: dict):
+    """Parse and re-verify one certificate before it is drawn; return it
+    with the faces that the verification traced.
 
     Structural garbage raises MalformedCertificateError.  An uncrossed part
     that leaves a vertex unconnected has no barycentric layout, so it is
@@ -160,9 +182,10 @@ def _verified_certificate(data: dict) -> SubdrawingCertificate:
     cert = SubdrawingCertificate.from_json_dict(data)
     if not connected_spanning(cert.graph.n, cert.uncrossed):
         raise ValueError("the uncrossed edges do not connect the drawing")
-    if not verify_certificate(cert):
+    faces = []
+    if not verify_certificate(cert, faces):
         raise ConstructionIntegrityError("certificate failed verification")
-    return cert
+    return cert, faces
 
 
 def render_json(data, out) -> None:
@@ -190,5 +213,7 @@ def render_json(data, out) -> None:
         certs = [_verified_certificate(data)]
     if not certs:
         raise ValueError("input has neither coordinates nor a drawing certificate")
-    panels = [render_certificate(cert, offset=2.6 * i) for i, cert in enumerate(certs)]
+    panels = [
+        render_certificate(cert, faces, offset=2.6 * i) for i, (cert, faces) in enumerate(certs)
+    ]
     _write_svg(out, itertools.chain.from_iterable(panels), -1.3, -1.3, 2.6 * len(certs), 2.6)

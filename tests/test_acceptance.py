@@ -96,7 +96,9 @@ def test_criterion_2_construction_identities():
                 assert s.m == 3 * n - 3 + x * (x - 5) // 2
                 assert s.m_prime == 3 * n - 3 - x
                 assert s.t == 2 * n - 2 - x
-                assert s.m_prime + 1e-9 >= 3 * n - 3 - math.sqrt(2 * s.m)
+                # property 1, m' >= 3n - 3 - sqrt(2m), in integers
+                short = 3 * n - 3 - s.m_prime
+                assert 0 <= short and short * short <= 2 * s.m
                 window_high = eps + Fraction(1, n) + Fraction(1, 2 * n * n)
                 assert eps <= Fraction(s.m, n * n) <= window_high
                 assert verify_certificate(rec.certificate)

@@ -14,7 +14,7 @@ from uncrossed.construction import (
     layout_coordinates,
 )
 from uncrossed.embedding import face_profile, trace_faces
-from uncrossed.errors import ConstructionIntegrityError, NotApplicableError
+from uncrossed.errors import ConstructionIntegrityError, MalformedCertificateError, NotApplicableError
 from uncrossed.graphs import make_complete
 from uncrossed.oracle import verify_certificate
 
@@ -210,3 +210,22 @@ def test_record_json_round_trip():
     assert back.certificate.uncrossed == rec.certificate.uncrossed
     assert back.certificate.face_assignment == rec.certificate.face_assignment
     check_tightness(back)
+
+
+@pytest.mark.parametrize("crossed,fault", [
+    ([[2, 5], [1, 3]], None),  # in any order
+    ([[1, 3], [1, 3]], "a crossed edge is named twice"),
+    ([[1, 3], [0, 7]], "a crossed edge is not an edge of the graph"),
+    ([[1, 3], [1, 3], [3, 1]], "a crossed edge is not an edge of the graph"),  # (3, 1) is unsorted
+    ([[1, 3], [1, 3, 5]], "a crossed edge is not an edge of the graph"),
+])
+def test_record_json_crossed_edges_checked(crossed, fault):
+    # the crossed edges must be distinct edges of the graph; a record that
+    # breaks both rules is reported as not an edge, as the set-based checks did
+    data = build_construction(5, 7).to_json_dict()
+    data["crossed"] = crossed
+    if fault is None:
+        assert ConstructionRecord.from_json_dict(data).crossed_edges == ((2, 5), (1, 3))
+        return
+    with pytest.raises(MalformedCertificateError, match=f"^{fault}$"):
+        ConstructionRecord.from_json_dict(data)

@@ -4,11 +4,12 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_util import connected_graphs_up_to_iso, small_connected_corpus
 
-from uncrossed.bounds import exact_h_complete, h_upper
+from uncrossed.bounds import exact_h_complete, exact_h_complete_bipartite, h_upper
 from uncrossed.construction import build_construction
 from uncrossed.graphs import make_random_gnm
 from uncrossed.embedding import (
@@ -146,6 +147,62 @@ def test_verify_structure_matches_set_based_checks(keys, uncrossed):
             verify_certificate(bad)
 
 
+def test_verify_hands_out_its_faces():
+    _, cert = wheel_certificate_in_k5()
+    faces = []
+    assert verify_certificate(cert, faces)
+    assert faces == list(trace_faces(cert.rotation))
+
+
+def _loop_parse(data):
+    # the certificate parser's assignment read key by key, as a reference:
+    # the edge-keyed dict and the sorted edges named, or the fault's message
+    named = {tuple(sorted(e)) for e in data["uncrossed"]}
+    keyed = {}
+    for key, idx in data["assignment"].items():
+        match = oracle._EDGE_KEY.fullmatch(key)
+        if match is None:
+            return f"assignment key {key!r} is not <u>-<v>"
+        u, v = int(match[1]), int(match[2])
+        e = (min(u, v), max(u, v))
+        if e in named:
+            return f"edge {key} is named twice"
+        if type(idx) is not int:
+            return f"face index {idx!r} of {key} is not an integer"
+        named.add(e)
+        keyed[e] = idx
+    return keyed, sorted(named)
+
+
+EDGE_KEYS = st.builds("{}-{}".format, st.integers(0, 9), st.integers(0, 9)) | st.sampled_from(
+    ["1-2,3-4", "01-2", "3-3", "a-b", "1 -2", "-1-2", "1-2-3", "", "\u0661-2", "1-2\n", "10-0"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(EDGE_KEYS, st.integers(0, 3) | st.sampled_from([True, 1.5, None]), max_size=12))
+def test_certificate_parser_matches_key_by_key_reading(assignment):
+    # the parser reads the keys in slices, by one regex match and a split,
+    # and raises the key-by-key reading's message at its first fault
+    data = {"n": 10, "uncrossed": [[0, 1], [1, 2]], "rotation": [[1], [0, 2], [1]] + [[]] * 7,
+            "assignment": assignment}
+    expected = _loop_parse(data)
+    if not isinstance(expected, str):
+        try:  # the host graph of the edges named, which may be no simple graph
+            Graph(10, tuple(expected[1]))
+        except ValueError as exc:
+            expected = f"bad certificate JSON: {exc}"
+    if isinstance(expected, str):
+        with pytest.raises(MalformedCertificateError) as info:
+            SubdrawingCertificate.from_json_dict(data)
+        assert str(info.value) == expected
+        return
+    keyed, named = expected
+    cert = SubdrawingCertificate.from_json_dict(data)
+    assert list(cert.face_assignment.items()) == list(keyed.items())
+    assert cert.graph.edges == tuple(named)
+
+
 def test_verify_rejects_genus_one_rotation():
     k4 = make_complete(4)
     rotation = next(r for r in enumerate_rotation_systems(k4) if genus(r) == 1)
@@ -219,6 +276,12 @@ def test_exact_h_k33():
     h, witness = exact_h(make_complete_bipartite(3, 3))
     assert h == 7
     assert verify_certificate(witness)
+
+
+def test_exact_h_k34_matches_formula():
+    h, witness = exact_h(make_complete_bipartite(3, 4))
+    assert h == 9 == exact_h_complete_bipartite(3, 4)
+    assert verify_certificate(witness) and len(witness.uncrossed) == 9
 
 
 def test_exact_h_planar_is_m():

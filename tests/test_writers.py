@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_util import connected_graphs_up_to_iso
 
-from uncrossed.cli import _json_chunks, _json_text, _Pairs, main
+from uncrossed.cli import _Assignment, _json_chunks, _json_text, main
 from uncrossed.construction import ConstructionRecord, build_construction, construct
 from uncrossed.graphs import SLICE, make_complete, make_complete_bipartite, serialize_edge_list
 from uncrossed.oracle import exact_unc
@@ -37,7 +37,22 @@ INT_ROWS = st.lists(
     | st.tuples(INTS, INTS),
     max_size=6,
 )
-LEAVES = st.none() | st.booleans() | INTS | FLOATS | STRINGS | INT_ROWS
+# rows of small non-negative int pairs, which the writer takes from its id
+# tables, mixed with rows that every guard of that path must send item by
+# item: a bool, a negative or large int or a float beside an id, and
+# rows that are not pairs
+SMALL = st.integers(min_value=0, max_value=12)
+ODD_ROW = (
+    st.tuples(SMALL, MIXED) | st.tuples(MIXED, SMALL) | st.lists(SMALL, max_size=3) | st.just([[0, 1], 2])
+)
+PAIR_ROWS = st.builds(
+    lambda rows, odd, at: rows if odd is None else rows[:at] + [odd] + rows[at:],
+    # ids below twice the row count take the tables
+    st.lists(st.tuples(SMALL, SMALL) | st.lists(SMALL, min_size=2, max_size=2), min_size=7, max_size=24),
+    st.none() | ODD_ROW,
+    st.integers(min_value=0, max_value=24),
+)
+LEAVES = st.none() | st.booleans() | INTS | FLOATS | STRINGS | INT_ROWS | PAIR_ROWS
 VALUES = st.recursive(
     LEAVES,
     lambda children: st.lists(children, max_size=5)
@@ -85,18 +100,51 @@ def test_json_chunks_mixed_dict_across_boundaries():
     assert "".join(_json_chunks(list(mixed.values()))) == json.dumps(list(mixed.values()), indent=2)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.dictionaries(STRINGS, VALUES, max_size=5) | st.dictionaries(STRINGS, INTS, max_size=5))
-def test_pairs_written_as_their_dict(value):
-    # a _Pairs is read once, and written as the dict of its pairs, empty
-    # or not, at the top or nested
-    assert _json_text(_Pairs(iter(value.items()))) == json.dumps(value, indent=2)
-    nested = [{"a": _Pairs(iter(value.items())), "b": 1}]
-    assert _json_text(nested) == json.dumps([{"a": value, "b": 1}], indent=2)
+# face assignments as certificates hold them, plus one entry that every
+# guard of the table path must send item by item: a bool, negative, large
+# or float id, or a face that is a bool, a float or any other JSON value
+IDS = st.integers(min_value=0, max_value=15)
+ODD_IDS = st.booleans() | st.integers(min_value=-(2**70), max_value=2**70) | st.floats(allow_nan=False)
+FACES = st.integers(min_value=-5, max_value=2**70) | st.booleans() | st.floats(allow_nan=False)
+ASSIGNMENTS = st.builds(
+    lambda entries, odd: entries if odd is None else entries | dict([odd]),
+    st.dictionaries(st.tuples(IDS, IDS), st.integers(min_value=0, max_value=40), min_size=8, max_size=40)
+    | st.dictionaries(st.tuples(IDS, IDS), st.integers(min_value=0, max_value=40), max_size=4),
+    st.none()
+    | st.tuples(st.tuples(IDS | ODD_IDS, IDS) | st.tuples(IDS, ODD_IDS), st.integers(0, 9))
+    | st.tuples(st.tuples(IDS, IDS), FACES)
+    | st.tuples(st.tuples(IDS, IDS), VALUES),
+)
+
+
+def _assignment_dict(assignment) -> dict:
+    # the per-item reference: what SubdrawingCertificate.to_json_dict holds
+    return {f"{u}-{v}": assignment[u, v] for u, v in sorted(assignment)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(ASSIGNMENTS)
+def test_assignment_written_as_its_dict(assignment):
+    # an _Assignment is written as the dict of "<u>-<v>" keys, in ascending
+    # edge order, empty or not, at the top or nested
+    expected = _assignment_dict(assignment)
+    assert _json_text(_Assignment(assignment)) == json.dumps(expected, indent=2)
+    nested = [{"a": _Assignment(assignment), "b": 1}]
+    assert _json_text(nested) == json.dumps([{"a": expected, "b": 1}], indent=2)
+
+
+def test_assignment_across_slice_boundaries():
+    # table blocks beside a block that falls back item by item, on both
+    # sides of a SLICE boundary, join to the dict's text
+    assignment = {(i, i + 1 + j): j for i in range(SLICE // 10 + 50) for j in range(10)}
+    for odd in ({}, {(3, 5): True}, {(SLICE // 10 + 3, SLICE // 10 + 9): 2.5}):
+        value = assignment | odd
+        assert _json_text(_Assignment(value)) == json.dumps(_assignment_dict(value), indent=2)
+        assert len(list(_json_chunks(_Assignment(value)))) == len(value) // SLICE + 1
 
 
 def _streamed_record(rec) -> str:
-    return "".join(_json_chunks(rec.to_json_dict(_Pairs))) + "\n"
+    return "".join(_json_chunks(rec.to_json_dict(_Assignment))) + "\n"
 
 
 @pytest.mark.parametrize("rec", [
@@ -138,6 +186,12 @@ def _sha(path) -> str:
 # K_5 oracle and render files were re-taken when the oracle's witness
 # became the kernel's first hit in ascending (degree, vertex) order
 CONSTRUCT_SHA = {
+    # the benchmark's largest call, across many SLICE boundaries in each file
+    ("3/20", 1000): (
+        "f08d64d9983b3f9601ae7887875a41af4e64b2355309ffa5658b44f10f3d1013",
+        "cd23aa60546e46e9b8f33eaa6525a8f0596ab4b894db89ccbcf5122055398cd6",
+        "1e130b3eed01d9f5199c5d1c40f964c3d15bb94bebc4c6c9e2fbd6a591473bd2",
+    ),
     ("3/10", 20): (
         "ed31cd19e71410f30d79fafedf72881d1c5982523cddd4b21a5f6a169f4ca0f2",
         "47dd03094f8f75b3e238f28556f8707c0a3b427e23160ffeba4cfc1b976061c7",
