@@ -97,20 +97,19 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _json_chunks(obj, nl: str = "\n", tables=None):
+def _json_chunks(obj, nl: str = "\n", ids: int = 0):
     """`json.dumps(obj, indent=2)` in pieces, byte for byte, except that
     dict keys must be str (anything else raises TypeError) and an
     _Assignment is written as the JSON object of its assignment.
 
     The stdlib falls back to its pure-Python encoder whenever `indent` is
     set.  Here items are read in blocks of at most SLICE.  A block of a
-    list or tuple whose every item is a pair of non-negative ints (edge
+    list or tuple whose every item is a pair of ints in range(ids) (edge
     lists), and a block of an _Assignment with such edges and int faces,
-    is joined from per-id text tables (an _IdTable per indent, held in
-    tables for the whole document) by one list comprehension.  Any other
-    block is written item by item: ints and int pairs with one f-string
-    each, scalars by `json.dumps`, and other containers recurse.  No
-    piece holds more than SLICE items, so no whole document is built.
+    is joined from per-id text tables by one list comprehension.  Any
+    other block is written item by item: ints and int pairs with one
+    f-string each, scalars by `json.dumps`, and other containers recurse.
+    No piece holds more than SLICE items, so no whole document is built.
     nl is the newline plus the current indent.
     """
     if not isinstance(obj, _CONTAINERS):
@@ -119,28 +118,26 @@ def _json_chunks(obj, nl: str = "\n", tables=None):
     if not obj:
         yield _empty(obj)
         return
-    if tables is None:
-        tables = {}
     inner = nl + "  "
     deeper = inner + "  "
     sep = "," + inner
     if isinstance(obj, dict):
         lead, close = "{" + inner, nl + "}"
-        blocks = [(None, 0, ((_json_key(key), value) for key, value in obj.items()))]
+        blocks = [(None, ((_json_key(key), value) for key, value in obj.items()))]
     elif isinstance(obj, _Assignment):
         lead, close = "{" + inner, nl + "}"
-        blocks = _assignment_blocks(obj.assignment, tables)
+        blocks = _assignment_blocks(obj.assignment, ids)
     else:
         lead, close = "[" + inner, nl + "]"
-        blocks = _row_blocks(obj, nl, tables)
+        blocks = _row_blocks(obj, inner, ids)
     run, count = [], 0  # formatted text not yet written, and how many items it holds
-    for texts, size, items in blocks:
+    for texts, items in blocks:
         if texts is not None:
-            if count + size > SLICE:
+            if count + len(texts) > SLICE:
                 yield lead + sep.join(run)
                 lead, run, count = sep, [], 0
             run.append(sep.join(texts))
-            count += size
+            count += len(texts)
             if count == SLICE:
                 yield lead + sep.join(run)
                 lead, run, count = sep, [], 0
@@ -160,7 +157,7 @@ def _json_chunks(obj, nl: str = "\n", tables=None):
                     lead, run, count = sep, [], 0
                 yield lead + key
                 lead = sep
-                yield from _json_chunks(x, inner, tables)
+                yield from _json_chunks(x, inner, ids)
                 continue
             count += 1
             if count == SLICE:
@@ -173,86 +170,56 @@ def _empty(obj) -> str:
     return "{}" if isinstance(obj, _OBJECTS) else "[]"
 
 
-class _IdTable:
-    """The text before and after each id of a pair, left(i) and right(i),
-    made once per id and grown as larger ids are met."""
-
-    def __init__(self, left, right):
-        self.left, self.right = left, right
-        self.lefts, self.rights = [], []
-
-    def texts(self, make, block, limit):
-        """make(lefts, rights) on the block, grown over the block's ids
-        if one is beyond the table; None when a row is not a pair or an
-        int id is limit or more."""
-        try:
-            try:
-                return make(self.lefts, self.rights)
-            except IndexError:
-                size = 1 + max(x for row in block for x in row if type(x) is int)
-                if size > limit:
-                    return None
-                ids = range(len(self.lefts), size)
-                self.lefts += map(self.left, ids)
-                self.rights += map(self.right, ids)
-                return make(self.lefts, self.rights)
-        except ValueError:  # a row that is not a pair
-            return None
-
-
-def _row_blocks(rows, nl, tables):
-    """The items of a JSON array in blocks of at most SLICE: (texts, size,
-    None) for a block of pairs of non-negative ints, else (None, size, its
-    (key, item)s).  An id table covers ids below twice the array's
-    length, so a block of pairs whose ids are sparse goes item by item."""
-    inner = nl + "  "
+def _row_blocks(rows, inner, ids):
+    """The items of a JSON array in blocks of at most SLICE: (texts, None)
+    for a block of int pairs in range(ids), else (None, its ("", item)s)."""
     deeper = inner + "  "
-    table = tables.get(nl)
-    if table is None:
-        table = tables[nl] = _IdTable(lambda u: f"[{deeper}{u},{deeper}", lambda v: f"{v}{inner}]")
-
-    def make(lefts, rights):  # on the loop's current block
-        # the filter keeps bools, floats and negative ids off the tables
-        return [lefts[u] + rights[v] for u, v in block if type(u) is int is type(v) and u >= 0 <= v]
-
+    lefts = None
     for i in range(0, len(rows), SLICE):
         block = rows[i:i + SLICE]
         texts = None
         if {*map(type, block)} <= _PAIR_ROWS:
-            texts = table.texts(make, block, 2 * len(rows))
+            if lefts is None:  # the text before and after each id of a pair
+                lefts = [f"[{deeper}{u},{deeper}" for u in range(ids)]
+                rights = [f"{v}{inner}]" for v in range(ids)]
+            try:
+                # the filter sends bools, floats and negative ids item by item
+                texts = [
+                    lefts[u] + rights[v]
+                    for u, v in block
+                    if type(u) is int is type(v) and u >= 0 <= v
+                ]
+            except (IndexError, ValueError):  # an id of ids or more, or not a pair
+                pass
         if texts is None or len(texts) < len(block):
-            yield None, len(block), (("", x) for x in block)
+            yield None, (("", x) for x in block)
         else:
-            yield texts, len(block), None
+            yield texts, None
 
 
-def _assignment_blocks(assignment, tables):
+def _assignment_blocks(assignment, ids):
     """The entries of a face assignment in ascending edge order, in blocks
-    as _row_blocks gives them: texts for a block whose edges are tuples of
-    two non-negative ints and whose faces are ints, else each entry's key
-    text and face."""
-    table = tables.get("assignment")
-    if table is None:
-        table = tables["assignment"] = _IdTable(lambda u: f'"{u}-', lambda v: f'{v}": ')
-
-    def make(lefts, rights):  # on the loop's current block and its faces
-        return [
-            f"{lefts[u]}{rights[v]}{face}"
-            for (u, v), face in zip(block, faces)
-            if type(u) is int is type(v) is type(face) and u >= 0 <= v
-        ]
-
+    as _row_blocks gives them: texts for a block whose edges are in
+    range(ids) and whose faces are ints, else each entry's key text and
+    face."""
+    lefts = [f'"{u}-' for u in range(ids)]
+    rights = [f'{v}": ' for v in range(ids)]
     keys = sorted(assignment)
     for i in range(0, len(keys), SLICE):
         block = keys[i:i + SLICE]
-        faces = list(map(assignment.__getitem__, block))
         texts = None
-        if {*map(type, block)} == {tuple}:
-            texts = table.texts(make, block, 2 * len(keys))
+        try:
+            texts = [
+                f"{lefts[u]}{rights[v]}{face}"
+                for (u, v), face in zip(block, map(assignment.__getitem__, block))
+                if type(u) is int is type(v) is type(face) and u >= 0 <= v
+            ]
+        except (IndexError, ValueError):
+            pass
         if texts is None or len(texts) < len(block):
-            yield None, len(block), ((_json_str(f"{u}-{v}") + ": ", assignment[u, v]) for u, v in block)
+            yield None, ((_json_str(f"{u}-{v}") + ": ", assignment[u, v]) for u, v in block)
         else:
-            yield texts, len(block), None
+            yield texts, None
 
 
 def _json_key(key) -> str:
@@ -329,7 +296,7 @@ def cmd_construct(args) -> int:
     except OSError as exc:
         raise _unwritable(out, exc) from exc
     with _Output(out / "record.json") as f:
-        for chunk in _json_chunks(rec.to_json_dict(_Assignment)):
+        for chunk in _json_chunks(rec.to_json_dict(_Assignment), ids=rec.graph.n):
             f.write(chunk)
         f.write("\n")
     with _Output(out / "graph.edgelist") as f:

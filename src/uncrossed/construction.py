@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -123,7 +122,7 @@ class ConstructionRecord:
         # sorted, the crossed edges are a strictly ascending run through the
         # graph's sorted edges: each is found after the one before it
         rest = iter(graph.edges)
-        if not all(map(operator.contains, itertools.repeat(rest), sorted(crossed))):
+        if not all(e in rest for e in sorted(crossed)):
             if not set(crossed) <= set(graph.edges):
                 raise MalformedCertificateError("a crossed edge is not an edge of the graph")
             raise MalformedCertificateError("a crossed edge is named twice")

@@ -46,7 +46,7 @@ from .embedding import (
     trace_faces,
 )
 from .errors import MalformedCertificateError, SearchBudgetError
-from .graphs import SLICE, Edge, Graph, automorphisms, connected_spanning
+from .graphs import Edge, Graph, automorphisms, connected_spanning
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ DEFAULT_LIMITS = SearchLimits()
 DEFAULT_UNC_LIMITS = SearchLimits(max_n=6)
 
 _EDGE_KEY = re.compile(r"([0-9]+)-([0-9]+)")
-_EDGE_KEYS = r"[0-9]+-[0-9]+(?:,[0-9]+-[0-9]+)*"  # compiled at first use
 
 
 def all_json_ints(*rows) -> bool:
@@ -115,13 +114,18 @@ class SubdrawingCertificate:
             if not all_json_ints((n,), *pairs, *orders):
                 raise MalformedCertificateError("n and every vertex id must be integers")
             uncrossed = tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
-            assignment = _edge_keyed(data["assignment"])
-            if assignment is not None:  # no edge named twice: sorted, all are ascending
+            try:  # no edge named twice: sorted, the edges named are ascending
+                assignment = _edge_keyed(data["assignment"])
                 named = sorted(itertools.chain(uncrossed, assignment))
-                if not all(map(operator.lt, named, itertools.islice(named, 1, None))):
-                    assignment = None
-            if assignment is None:  # find the first fault, and its message, key by key
-                assignment, named = _edge_keyed_by_loop(data["assignment"], uncrossed)
+                fault = len(assignment) < len(data["assignment"]) or not all(
+                    map(operator.lt, named, itertools.islice(named, 1, None))
+                )
+            except MalformedCertificateError:
+                fault = True
+            if fault:  # read again to find the first fault, and its message
+                named = set(uncrossed)
+                assignment = _edge_keyed(data["assignment"], named)
+                named = sorted(named)
             if graph is None:
                 graph = Graph(n, tuple(named))
             elif graph.n != n:
@@ -132,33 +136,10 @@ class SubdrawingCertificate:
         return SubdrawingCertificate(graph, uncrossed, rotation, assignment)
 
 
-def _edge_keyed(assignment) -> dict[Edge, int] | None:
-    """A JSON assignment keyed by edge, in its key order, when it is a dict
-    whose keys are "<u>-<v>" in decimal digits, no two for one edge, and
-    whose face indices are ints; else None.  The keys are read SLICE at a
-    time, with one regex match and one split."""
-    if type(assignment) is not dict or {*map(type, assignment.values())} - {int}:
-        return None
-    edges = []
-    keys = iter(assignment)
-    try:
-        while block := list(itertools.islice(keys, SLICE)):
-            text = ",".join(block)
-            if text.count(",") != len(block) - 1 or not re.fullmatch(_EDGE_KEYS, text):
-                return None
-            ids = list(map(int, text.replace("-", ",").split(",")))
-            us, vs = ids[0::2], ids[1::2]
-            edges += zip(map(min, us, vs), map(max, us, vs))
-    except TypeError:  # a key that is not a str
-        return None
-    keyed = dict(zip(edges, assignment.values()))
-    return keyed if len(keyed) == len(assignment) else None
-
-
-def _edge_keyed_by_loop(assignment, uncrossed):
-    """The assignment keyed by edge and the sorted edges that it and the
-    uncrossed edges name, key by key; raises at the first fault."""
-    named = set(uncrossed)
+def _edge_keyed(assignment, named=None) -> dict[Edge, int]:
+    """The assignment keyed by edge, read key by key; raises at the first
+    key that is not <u>-<v>, face index that is not an int or, when
+    named is given, edge in named, which each edge is then added to."""
     keyed = {}
     for key, idx in assignment.items():
         match = _EDGE_KEY.fullmatch(key)
@@ -166,13 +147,14 @@ def _edge_keyed_by_loop(assignment, uncrossed):
             raise MalformedCertificateError(f"assignment key {key!r} is not <u>-<v>")
         u, v = int(match[1]), int(match[2])
         e = (min(u, v), max(u, v))
-        if e in named:
-            raise MalformedCertificateError(f"edge {key} is named twice")
+        if named is not None:
+            if e in named:
+                raise MalformedCertificateError(f"edge {key} is named twice")
+            named.add(e)
         if type(idx) is not int:
             raise MalformedCertificateError(f"face index {idx!r} of {key} is not an integer")
-        named.add(e)
         keyed[e] = idx
-    return keyed, sorted(named)
+    return keyed
 
 
 def _holds(edges: tuple[Edge, ...], e) -> bool:

@@ -14,7 +14,6 @@ import math
 from fractions import Fraction
 
 from .construction import ConstructionRecord
-from .embedding import trace_faces
 from .errors import ConstructionIntegrityError, MalformedCertificateError
 from .graphs import SLICE, connected_spanning
 from .oracle import SubdrawingCertificate, verify_certificate
@@ -46,15 +45,13 @@ def _solve(a: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Frac
     return [row[k:] for row in rows]
 
 
-def barycentric_layout(cert: SubdrawingCertificate, faces=None) -> list[tuple[float, float]]:
-    """Pin the first traced face on a circle, average the rest into place;
-    faces is the rotation's trace, traced here when not given."""
+def barycentric_layout(cert: SubdrawingCertificate, faces) -> list[tuple[float, float]]:
+    """Pin the first of faces, the rotation's trace, on a circle, and
+    average the rest into place."""
     rotation = cert.rotation
     n = rotation.graph.n
     if rotation.graph.m == 0:  # no faces to trace: a lone vertex sits at the centre
         return [(0.0, 0.0)] * n
-    if faces is None:
-        faces = trace_faces(rotation)
     outer: list[int] = []
     for u, _ in faces[0].walk:
         if u not in outer:
@@ -102,8 +99,9 @@ def _drawing_lines(coords, solid_edges, dotted_edges, arcs):
     Each vertex's coordinates are formatted once, into the text of a line
     or an arc before and after them.  arcs(block, heads, tails) lists the
     arc of each dotted edge (u, v) of a block as heads[u], its control
-    point formatted .4f, and tails[v].  A .4f field that reads -0.0000 is
-    negative zero, which the drawing writes as 0.0000.
+    point formatted .4f, and tails[v].  A .4f field that reads -0.0000
+    (negative zero or a tiny negative value) is written 0.0000, as _fmt
+    does.
     """
     pts = [(_fmt(x), _fmt(y)) for x, y in coords]
     heads = [f'<line x1="{x}" y1="{y}" x2="' for x, y in pts]

@@ -182,7 +182,7 @@ EDGE_KEYS = st.builds("{}-{}".format, st.integers(0, 9), st.integers(0, 9)) | st
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(EDGE_KEYS, st.integers(0, 3) | st.sampled_from([True, 1.5, None]), max_size=12))
 def test_certificate_parser_matches_key_by_key_reading(assignment):
-    # the parser reads the keys in slices, by one regex match and a split,
+    # the parser checks for an edge named twice with no set of the edges,
     # and raises the key-by-key reading's message at its first fault
     data = {"n": 10, "uncrossed": [[0, 1], [1, 2]], "rotation": [[1], [0, 2], [1]] + [[]] * 7,
             "assignment": assignment}

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from uncrossed.construction import build_construction
+from uncrossed.embedding import trace_faces
 from uncrossed.graphs import make_complete
 from uncrossed.oracle import feasible
 from uncrossed.render import barycentric_layout, render_json, render_record
@@ -21,7 +22,7 @@ def _svg(render, *args) -> str:
 def test_barycentric_k4():
     k4 = make_complete(4)
     cert = feasible(k4, k4.edges)
-    coords = barycentric_layout(cert)
+    coords = barycentric_layout(cert, trace_faces(cert.rotation))
     # three outer vertices on the unit circle, the fourth strictly inside
     radii = sorted(math.hypot(x, y) for x, y in coords)
     assert radii[3] == pytest.approx(1.0)

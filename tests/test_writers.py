@@ -38,16 +38,16 @@ INT_ROWS = st.lists(
     max_size=6,
 )
 # rows of small non-negative int pairs, which the writer takes from its id
-# tables, mixed with rows that every guard of that path must send item by
+# tables when told that ids run below TABLE_IDS, mixed with rows that every guard of that path must send item by
 # item: a bool, a negative or large int or a float beside an id, and
 # rows that are not pairs
 SMALL = st.integers(min_value=0, max_value=12)
+TABLE_IDS = 13
 ODD_ROW = (
     st.tuples(SMALL, MIXED) | st.tuples(MIXED, SMALL) | st.lists(SMALL, max_size=3) | st.just([[0, 1], 2])
 )
 PAIR_ROWS = st.builds(
     lambda rows, odd, at: rows if odd is None else rows[:at] + [odd] + rows[at:],
-    # ids below twice the row count take the tables
     st.lists(st.tuples(SMALL, SMALL) | st.lists(SMALL, min_size=2, max_size=2), min_size=7, max_size=24),
     st.none() | ODD_ROW,
     st.integers(min_value=0, max_value=24),
@@ -67,6 +67,9 @@ VALUES = st.recursive(
 @given(VALUES)
 def test_json_text_matches_stdlib(value):
     assert _json_text(value) == json.dumps(value, indent=2)
+    # with id tables: an id of TABLE_IDS or more sends its block item by item
+    for ids in (TABLE_IDS, 7):
+        assert "".join(_json_chunks(value, ids=ids)) == json.dumps(value, indent=2)
 
 
 def test_json_text_edge_cases():
@@ -83,12 +86,15 @@ def test_json_chunks_slice_boundaries(length):
     # a run of flat items is cut every SLICE items, and the pieces join to
     # the stdlib's text wherever the cuts fall
     for value in (list(range(length)), [(i, -i) for i in range(length)],
-                  {str(i): i for i in range(length)}):
-        chunks = list(_json_chunks(value))
-        assert "".join(chunks) == json.dumps(value, indent=2)
-        assert len(chunks) == length // SLICE + 1
-        nested = {"a": 1, "rows": value, "z": [value, 2]}
-        assert "".join(_json_chunks(nested)) == json.dumps(nested, indent=2)
+                  [(i, i + 1) for i in range(length)], {str(i): i for i in range(length)}):
+        # no id tables, tables for every id, and tables that leave the
+        # last block's ids out
+        for ids in (0, length + 1, length - 50):
+            chunks = list(_json_chunks(value, ids=ids))
+            assert "".join(chunks) == json.dumps(value, indent=2)
+            assert len(chunks) == length // SLICE + 1
+            nested = {"a": 1, "rows": value, "z": [value, 2]}
+            assert "".join(_json_chunks(nested, ids=ids)) == json.dumps(nested, indent=2)
 
 
 def test_json_chunks_mixed_dict_across_boundaries():
@@ -104,6 +110,7 @@ def test_json_chunks_mixed_dict_across_boundaries():
 # guard of the table path must send item by item: a bool, negative, large
 # or float id, or a face that is a bool, a float or any other JSON value
 IDS = st.integers(min_value=0, max_value=15)
+ASSIGNMENT_IDS = 16
 ODD_IDS = st.booleans() | st.integers(min_value=-(2**70), max_value=2**70) | st.floats(allow_nan=False)
 FACES = st.integers(min_value=-5, max_value=2**70) | st.booleans() | st.floats(allow_nan=False)
 ASSIGNMENTS = st.builds(
@@ -128,23 +135,30 @@ def test_assignment_written_as_its_dict(assignment):
     # an _Assignment is written as the dict of "<u>-<v>" keys, in ascending
     # edge order, empty or not, at the top or nested
     expected = _assignment_dict(assignment)
-    assert _json_text(_Assignment(assignment)) == json.dumps(expected, indent=2)
     nested = [{"a": _Assignment(assignment), "b": 1}]
-    assert _json_text(nested) == json.dumps([{"a": expected, "b": 1}], indent=2)
+    for ids in (0, ASSIGNMENT_IDS):
+        text = "".join(_json_chunks(_Assignment(assignment), ids=ids))
+        assert text == json.dumps(expected, indent=2)
+        text = "".join(_json_chunks(nested, ids=ids))
+        assert text == json.dumps([{"a": expected, "b": 1}], indent=2)
 
 
 def test_assignment_across_slice_boundaries():
     # table blocks beside a block that falls back item by item, on both
-    # sides of a SLICE boundary, join to the dict's text
+    # sides of a SLICE boundary, join to the dict's text; the ids run to
+    # SLICE // 10 + 59, so the tables below SLICE // 10 + 40 leave the
+    # last block's ids out
     assignment = {(i, i + 1 + j): j for i in range(SLICE // 10 + 50) for j in range(10)}
     for odd in ({}, {(3, 5): True}, {(SLICE // 10 + 3, SLICE // 10 + 9): 2.5}):
         value = assignment | odd
-        assert _json_text(_Assignment(value)) == json.dumps(_assignment_dict(value), indent=2)
-        assert len(list(_json_chunks(_Assignment(value)))) == len(value) // SLICE + 1
+        for ids in (SLICE // 10 + 60, SLICE // 10 + 40):
+            chunks = list(_json_chunks(_Assignment(value), ids=ids))
+            assert "".join(chunks) == json.dumps(_assignment_dict(value), indent=2)
+            assert len(chunks) == len(value) // SLICE + 1
 
 
 def _streamed_record(rec) -> str:
-    return "".join(_json_chunks(rec.to_json_dict(_Assignment))) + "\n"
+    return "".join(_json_chunks(rec.to_json_dict(_Assignment), ids=rec.n)) + "\n"
 
 
 @pytest.mark.parametrize("rec", [
