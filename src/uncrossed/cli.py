@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from .errors import (
     ParseError,
     SearchBudgetError,
 )
-from .graphs import SLICE, parse_edge_list, write_edge_list
+from .graphs import parse_edge_list, write_edge_list, write_json_pairs
 from .oracle import (
     DEFAULT_LIMITS,
     DEFAULT_UNC_LIMITS,
@@ -35,24 +36,6 @@ from .oracle import (
 )
 from .render import render_json, render_record
 
-
-class _Assignment:
-    """A certificate's face assignment, keyed by edge, that _json_chunks
-    writes as the JSON object {"<u>-<v>": face} in ascending edge order,
-    with no "<u>-<v>" string built before it is written."""
-
-    def __init__(self, assignment):
-        self.assignment = assignment
-
-    def __len__(self):
-        return len(self.assignment)
-
-
-_json_str = json.encoder.encode_basestring_ascii
-_ROWS = (list, tuple)
-_OBJECTS = (dict, _Assignment)
-_CONTAINERS = _ROWS + _OBJECTS
-_PAIR_ROWS = set(_ROWS)
 
 DEFAULT_EPSILONS = "3/20,1/5,1/4,3/10,7/20,2/5,9/20"
 DEFAULT_NS = "20,40,80"
@@ -95,142 +78,6 @@ def _fractions(text: str) -> list[Fraction]:
 
 def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
-
-
-def _json_chunks(obj, nl: str = "\n", ids: int = 0):
-    """`json.dumps(obj, indent=2)` in pieces, byte for byte, except that
-    dict keys must be str (anything else raises TypeError) and an
-    _Assignment is written as the JSON object of its assignment.
-
-    The stdlib falls back to its pure-Python encoder whenever `indent` is
-    set.  Here items are read in blocks of at most SLICE.  A block of a
-    list or tuple whose every item is a pair of ints in range(ids) (edge
-    lists), and a block of an _Assignment with such edges and int faces,
-    is joined from per-id text tables by one list comprehension.  Any
-    other block is written item by item: ints and int pairs with one
-    f-string each, scalars by `json.dumps`, and other containers recurse.
-    No piece holds more than SLICE items, so no whole document is built.
-    nl is the newline plus the current indent.
-    """
-    if not isinstance(obj, _CONTAINERS):
-        yield json.dumps(obj)
-        return
-    if not obj:
-        yield _empty(obj)
-        return
-    inner = nl + "  "
-    deeper = inner + "  "
-    sep = "," + inner
-    if isinstance(obj, dict):
-        lead, close = "{" + inner, nl + "}"
-        blocks = [(None, ((_json_key(key), value) for key, value in obj.items()))]
-    elif isinstance(obj, _Assignment):
-        lead, close = "{" + inner, nl + "}"
-        blocks = _assignment_blocks(obj.assignment, ids)
-    else:
-        lead, close = "[" + inner, nl + "]"
-        blocks = _row_blocks(obj, inner, ids)
-    run, count = [], 0  # formatted text not yet written, and how many items it holds
-    for texts, items in blocks:
-        if texts is not None:
-            if count + len(texts) > SLICE:
-                yield lead + sep.join(run)
-                lead, run, count = sep, [], 0
-            run.append(sep.join(texts))
-            count += len(texts)
-            if count == SLICE:
-                yield lead + sep.join(run)
-                lead, run, count = sep, [], 0
-            continue
-        for key, x in items:
-            if type(x) is int:
-                run.append(key + str(x))
-            elif type(x) in _ROWS and len(x) == 2 and type(x[0]) is int and type(x[1]) is int:
-                run.append(f"{key}[{deeper}{x[0]},{deeper}{x[1]}{inner}]")
-            elif not isinstance(x, _CONTAINERS):
-                run.append(key + json.dumps(x))
-            elif not x:
-                run.append(key + _empty(x))
-            else:
-                if run:
-                    yield lead + sep.join(run)
-                    lead, run, count = sep, [], 0
-                yield lead + key
-                lead = sep
-                yield from _json_chunks(x, inner, ids)
-                continue
-            count += 1
-            if count == SLICE:
-                yield lead + sep.join(run)
-                lead, run, count = sep, [], 0
-    yield (lead + sep.join(run) if run else "") + close
-
-
-def _empty(obj) -> str:
-    return "{}" if isinstance(obj, _OBJECTS) else "[]"
-
-
-def _row_blocks(rows, inner, ids):
-    """The items of a JSON array in blocks of at most SLICE: (texts, None)
-    for a block of int pairs in range(ids), else (None, its ("", item)s)."""
-    deeper = inner + "  "
-    lefts = None
-    for i in range(0, len(rows), SLICE):
-        block = rows[i:i + SLICE]
-        texts = None
-        if {*map(type, block)} <= _PAIR_ROWS:
-            if lefts is None:  # the text before and after each id of a pair
-                lefts = [f"[{deeper}{u},{deeper}" for u in range(ids)]
-                rights = [f"{v}{inner}]" for v in range(ids)]
-            try:
-                # the filter sends bools, floats and negative ids item by item
-                texts = [
-                    lefts[u] + rights[v]
-                    for u, v in block
-                    if type(u) is int is type(v) and u >= 0 <= v
-                ]
-            except (IndexError, ValueError):  # an id of ids or more, or not a pair
-                pass
-        if texts is None or len(texts) < len(block):
-            yield None, (("", x) for x in block)
-        else:
-            yield texts, None
-
-
-def _assignment_blocks(assignment, ids):
-    """The entries of a face assignment in ascending edge order, in blocks
-    as _row_blocks gives them: texts for a block whose edges are in
-    range(ids) and whose faces are ints, else each entry's key text and
-    face."""
-    lefts = [f'"{u}-' for u in range(ids)]
-    rights = [f'{v}": ' for v in range(ids)]
-    keys = sorted(assignment)
-    for i in range(0, len(keys), SLICE):
-        block = keys[i:i + SLICE]
-        texts = None
-        try:
-            texts = [
-                f"{lefts[u]}{rights[v]}{face}"
-                for (u, v), face in zip(block, map(assignment.__getitem__, block))
-                if type(u) is int is type(v) is type(face) and u >= 0 <= v
-            ]
-        except (IndexError, ValueError):
-            pass
-        if texts is None or len(texts) < len(block):
-            yield None, ((_json_str(f"{u}-{v}") + ": ", assignment[u, v]) for u, v in block)
-        else:
-            yield texts, None
-
-
-def _json_key(key) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"keys must be str, not {type(key).__name__}")
-    return _json_str(key) + ": "
-
-
-def _json_text(obj) -> str:
-    """`json.dumps(obj, indent=2)`, as _json_chunks writes it."""
-    return "".join(_json_chunks(obj))
 
 
 def _unwritable(path, exc: OSError) -> ValueError:
@@ -283,7 +130,7 @@ def cmd_bounds(args) -> int:
     sys.stdout.write(csv)
     _write(args.csv, csv)
     if args.json:
-        _write(args.json, _json_text([r.to_json_dict() for r in reports]) + "\n")
+        _write(args.json, json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n")
     return 0
 
 
@@ -296,9 +143,7 @@ def cmd_construct(args) -> int:
     except OSError as exc:
         raise _unwritable(out, exc) from exc
     with _Output(out / "record.json") as f:
-        for chunk in _json_chunks(rec.to_json_dict(_Assignment), ids=rec.graph.n):
-            f.write(chunk)
-        f.write("\n")
+        rec.write_json(f)
     with _Output(out / "graph.edgelist") as f:
         write_edge_list(rec.graph, f)
     if args.svg:
@@ -319,20 +164,25 @@ def _limits(args) -> SearchLimits:
     )
 
 
+def _oracle_payload(kind: str, g, value: int) -> io.StringIO:
+    """A buffer holding the oracle payload's JSON text, as
+    json.dumps(payload, indent=2) writes it, up to the key after "value"."""
+    buf = io.StringIO()
+    buf.write(f'{{\n  "kind": "{kind}",\n  "n": {g.n},\n  "m": {g.m},\n  "edges": ')
+    write_json_pairs(buf, g.edges, "\n  ", g.n)
+    buf.write(f',\n  "value": {value},\n  ')
+    return buf
+
+
 def cmd_oracle_h(args) -> int:
     g = _read_graph(args.infile)
     value, witness = exact_h(g, _limits(args))
     if not verify_certificate(witness):
         raise ConstructionIntegrityError("witness failed re-verification")
-    payload = {
-        "kind": "max-uncrossed-subgraph",
-        "n": g.n,
-        "m": g.m,
-        "edges": g.edges,
-        "value": value,
-        "witness": witness.to_json_dict(),
-    }
-    text = _json_text(payload) + "\n"
+    buf = _oracle_payload("max-uncrossed-subgraph", g, value)
+    buf.write('"witness": ')
+    witness.write_json(buf, "\n  ")
+    text = buf.getvalue() + "\n}\n"
     sys.stdout.write(text)
     _write(args.out, text)
     return 0
@@ -344,15 +194,13 @@ def cmd_oracle_unc(args) -> int:
     for cert in cover:
         if not verify_certificate(cert):
             raise ConstructionIntegrityError("cover member failed re-verification")
-    payload = {
-        "kind": "uncrossed-number",
-        "n": g.n,
-        "m": g.m,
-        "edges": g.edges,
-        "value": value,
-        "cover": [c.to_json_dict() for c in cover],
-    }
-    text = _json_text(payload) + "\n"
+    buf = _oracle_payload("uncrossed-number", g, value)
+    lead = '"cover": [\n    '  # a cover holds at least one drawing
+    for cert in cover:
+        buf.write(lead)
+        cert.write_json(buf, "\n    ")
+        lead = ",\n    "
+    text = buf.getvalue() + "\n  ]\n}\n"
     sys.stdout.write(text)
     _write(args.out, text)
     return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -19,7 +20,7 @@ from fractions import Fraction
 from .bounds import h_upper, root_sum_nonnegative
 from .embedding import RotationSystem, trace_faces
 from .errors import ConstructionIntegrityError, MalformedCertificateError, NotApplicableError
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, write_json_pairs
 from .oracle import SubdrawingCertificate, all_json_ints, verify_certificate
 
 
@@ -45,18 +46,27 @@ class ConstructionRecord:
     stack_hosts: tuple[tuple[int, int, int, int], ...]  # (new vertex, a, b, c)
     stats: ConstructionStats
 
-    def to_json_dict(self, make_assignment=None) -> dict:
-        """The record's JSON object; make_assignment makes the
-        certificate's assignment, as in SubdrawingCertificate.to_json_dict."""
+    def to_json_dict(self) -> dict:
+        """The record's JSON object."""
+        return {
+            **self._json_head(),
+            "edges": self.graph.edges,
+            "crossed": self.crossed_edges,
+            "certificate": self.certificate.to_json_dict(),
+            **self._json_tail(),
+        }
+
+    def _json_head(self) -> dict:
         return {
             "kind": "construction",
             "epsilon": str(self.epsilon_target) if self.epsilon_target is not None else None,
             "n": self.n,
             "x": self.x,
             "x0": self.x0,
-            "edges": self.graph.edges,
-            "crossed": self.crossed_edges,
-            "certificate": self.certificate.to_json_dict(make_assignment),
+        }
+
+    def _json_tail(self) -> dict:
+        return {
             "coordinates": self.coordinates,
             "stack_hosts": self.stack_hosts,
             "stats": {
@@ -68,9 +78,26 @@ class ConstructionRecord:
             },
         }
 
+    def write_json(self, out) -> None:
+        """Write json.dumps(self.to_json_dict(), indent=2) and a newline to
+        the text stream out, with no JSON dict of the edges or the
+        certificate: they go out SLICE items per write.  The head and
+        tail dicts hold O(n) items, and json.dumps writes them at the
+        record's indent: with the braces cut off, their lines are the
+        record's."""
+        n = self.graph.n
+        out.write(json.dumps(self._json_head(), indent=2)[:-2] + ',\n  "edges": ')
+        write_json_pairs(out, self.graph.edges, "\n  ", n)
+        out.write(',\n  "crossed": ')
+        write_json_pairs(out, self.crossed_edges, "\n  ", n)
+        out.write(',\n  "certificate": ')
+        self.certificate.write_json(out, "\n  ")
+        out.write("," + json.dumps(self._json_tail(), indent=2)[1:] + "\n")
+
     @staticmethod
     def from_json_dict(data: dict) -> "ConstructionRecord":
-        """Parse what to_json_dict writes.  Missing keys, wrong types (n, x,
+        """Parse the record's JSON object, as to_json_dict holds it and
+        write_json writes it.  Missing keys, wrong types (n, x,
         every vertex id and every stats count must be JSON integers, x0 a
         number or null, epsilon a fraction string or null and density a
         fraction string), an edge named twice, and crossed edges or

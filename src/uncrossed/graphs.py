@@ -39,18 +39,20 @@ class Graph:
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         n = self.n
-        # sorted, the edges are valid iff each is in range and each is
-        # below the next; no set of them is built
+        # sorted, the edges are valid iff each is a pair of ints in range
+        # and each is below the next; no set of them is built
         try:
             edges = tuple(sorted(self.edges))
-            valid = all([0 <= u < v < n for u, v in edges]) and all(
-                map(operator.lt, edges, itertools.islice(edges, 1, None))
-            )
+            valid = all(
+                [type(u) is int is type(v) and 0 <= u < v < n for u, v in edges]
+            ) and all(map(operator.lt, edges, itertools.islice(edges, 1, None)))
         except (TypeError, ValueError):
             valid = False
         if not valid:  # find the first fault in input order, and its message
             seen = set()
             for u, v in self.edges:
+                if type(u) is not int or type(v) is not int:
+                    raise ValueError(f"edge ({u!r},{v!r}) has a vertex id that is not an int")
                 if not (0 <= u < v < n):
                     raise ValueError(f"edge ({u},{v}) out of range for n={n}")
                 if (u, v) in seen:
@@ -263,13 +265,27 @@ def write_edge_list(g: Graph, out) -> None:
     seconds = [f"{v}\n" for v in range(g.n)]
     edges = g.edges
     for i in range(0, len(edges), SLICE):
-        block = edges[i:i + SLICE]
-        # a valid graph's int ids are in range(n); the filter keeps ids
-        # that compare as ints but print otherwise (bools, floats) off
-        lines = [firsts[u] + seconds[v] for u, v in block if type(u) is int is type(v)]
-        if len(lines) < len(block):
-            lines = [f"{u} {v}\n" for u, v in block]
-        out.write("".join(lines))
+        out.write("".join([firsts[u] + seconds[v] for u, v in edges[i:i + SLICE]]))
+
+
+def write_json_pairs(out, pairs, nl: str, n: int) -> None:
+    """Write the JSON array of the int pairs in range(n), at newline plus
+    indent nl, to the text stream out as json.dumps(pairs, indent=2) writes
+    it there.  SLICE pairs go per write, each joined from per-vertex texts
+    "[" + indent + "u," + indent and "v" + indent + "]"."""
+    if not pairs:
+        out.write("[]")
+        return
+    inner = nl + "  "
+    deeper = inner + "  "
+    lefts = [f"[{deeper}{u},{deeper}" for u in range(n)]
+    rights = [f"{v}{inner}]" for v in range(n)]
+    sep = "," + inner
+    lead = "[" + inner
+    for i in range(0, len(pairs), SLICE):
+        out.write(lead + sep.join([lefts[u] + rights[v] for u, v in pairs[i:i + SLICE]]))
+        lead = sep
+    out.write(nl + "]")
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import json
 import operator
 import re
 import time
@@ -46,7 +47,7 @@ from .embedding import (
     trace_faces,
 )
 from .errors import MalformedCertificateError, SearchBudgetError
-from .graphs import Edge, Graph, automorphisms, connected_spanning
+from .graphs import SLICE, Edge, Graph, automorphisms, connected_spanning, write_json_pairs
 
 
 @dataclass(frozen=True)
@@ -82,26 +83,50 @@ class SubdrawingCertificate:
     rotation: RotationSystem
     face_assignment: dict[Edge, int]
 
-    def to_json_dict(self, make_assignment=None) -> dict:
-        """The certificate's JSON object.  Its "assignment" is
-        make_assignment(face_assignment) when given, such as a writer's own
-        type that streams the edge-keyed dict; by default the dict of
-        "<u>-<v>" keys, in ascending edge order, to face indices."""
+    def to_json_dict(self) -> dict:
+        """The certificate's JSON object.  Its "assignment" maps "<u>-<v>"
+        keys, in ascending edge order, to face indices."""
         assignment = self.face_assignment
-        if make_assignment is None:
-            assignment = {f"{u}-{v}": assignment[u, v] for u, v in sorted(assignment)}
-        else:
-            assignment = make_assignment(assignment)
         return {
             "n": self.graph.n,
             "uncrossed": self.uncrossed,
             "rotation": self.rotation.order,
-            "assignment": assignment,
+            "assignment": {f"{u}-{v}": assignment[u, v] for u, v in sorted(assignment)},
         }
+
+    def write_json(self, out, nl: str) -> None:
+        """Write json.dumps(self.to_json_dict(), indent=2), at newline plus
+        indent nl, to the text stream out.  The assignment goes out SLICE
+        entries per write, each joined from per-vertex texts '"u-' and
+        'v": ', so no dict of "<u>-<v>" keys is built."""
+        n = self.graph.n
+        inner = nl + "  "
+        out.write(f'{{{inner}"n": {n},{inner}"uncrossed": ')
+        write_json_pairs(out, self.uncrossed, inner, n)
+        rotation = json.dumps(self.rotation.order, indent=2).replace("\n", inner)
+        out.write(f',{inner}"rotation": {rotation},{inner}"assignment": ')
+        assignment = self.face_assignment
+        if not assignment:
+            out.write("{}" + nl + "}")
+            return
+        lefts = [f'"{u}-' for u in range(n)]
+        rights = [f'{v}": ' for v in range(n)]
+        keys = sorted(assignment)
+        sep = "," + inner + "  "
+        lead = "{" + inner + "  "
+        for i in range(0, len(keys), SLICE):
+            block = keys[i:i + SLICE]
+            out.write(lead + sep.join([
+                f"{lefts[u]}{rights[v]}{face}"
+                for (u, v), face in zip(block, map(assignment.__getitem__, block))
+            ]))
+            lead = sep
+        out.write(inner + "}" + nl + "}")
 
     @staticmethod
     def from_json_dict(data: dict, graph: Graph | None = None) -> "SubdrawingCertificate":
-        """Parse what to_json_dict writes.  Without a graph, the host graph
+        """Parse the certificate's JSON object, as to_json_dict holds it and
+        write_json writes it.  Without a graph, the host graph
         is the uncrossed edges plus the assignment keys; a given graph must
         have n vertices.  n, every vertex id
         and every face index must be a JSON integer, every assignment key
@@ -197,7 +222,9 @@ def verify_certificate(cert: SubdrawingCertificate, faces_out: list | None = Non
     faces = trace_faces(cert.rotation)
     f = len(faces)
     for e, idx in assignment.items():
-        if not isinstance(idx, int) or not 0 <= idx < f:
+        if type(idx) is not int:
+            raise MalformedCertificateError(f"face index {idx!r} of edge {e} is not an integer")
+        if not 0 <= idx < f:
             raise MalformedCertificateError(f"dangling face index {idx} for edge {e}")
 
     if not connected_spanning(g.n, hset):

@@ -167,6 +167,8 @@ def _input_order_graph(n, edges):
     # seen: the edges it stores, or the first fault it raises
     seen = set()
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge ({u!r},{v!r}) has a vertex id that is not an int")
         if not (0 <= u < v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if (u, v) in seen:
@@ -206,3 +208,11 @@ def test_graph_faults_match_input_order_loop(n, edges):
 def test_graph_type_faults_match_input_order_loop(edges):
     built = _outcome(lambda n, edges: Graph(n, edges).edges, 3, edges)
     assert built == _outcome(_input_order_graph, 3, edges)
+
+
+@pytest.mark.parametrize("edge", [(True, 2), (0, False), (0.5, 2), (0, 2.0), ("0", 2)])
+def test_graph_rejects_ids_that_are_not_ints(edge):
+    # a bool or a float compares as a vertex id but prints as another
+    # (serialize_edge_list would write "True 2"), or breaks adjacency()
+    with pytest.raises(ValueError, match="not an int"):
+        Graph(3, ((0, 1), edge))

@@ -233,6 +233,17 @@ def test_verify_rejects_disconnected_uncrossed_part():
     assert not verify_certificate(SubdrawingCertificate(k4, halves, rotation, assignment))
 
 
+def test_verify_rejects_bool_face_index():
+    # True would pass for face 1 of the 4-cycle, and then be written as
+    # "0-2": true, which from_json_dict rejects
+    c4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    rotation = RotationSystem(c4, ((1, 3), (0, 2), (1, 3), (0, 2)))
+    host = Graph(4, c4.edges + ((0, 2),))
+    assert verify_certificate(SubdrawingCertificate(host, c4.edges, rotation, {(0, 2): 1}))
+    with pytest.raises(MalformedCertificateError, match="not an integer"):
+        verify_certificate(SubdrawingCertificate(host, c4.edges, rotation, {(0, 2): True}))
+
+
 def test_verify_dangling_index_raises_on_genus_one_rotation():
     # the structural check comes before the genus check
     k4 = make_complete(4)

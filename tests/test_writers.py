@@ -1,9 +1,11 @@
 """The CLI's JSON and SVG writers: identity with `json.dumps(..., indent=2)`
-and the bytes of every kind of file the CLI writes, pinned."""
+of the documents' dicts, and the bytes of every kind of file the CLI
+writes, pinned."""
 
 import hashlib
+import io
+import itertools
 import json
-import math
 import random
 import subprocess
 import sys
@@ -16,149 +18,114 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_util import connected_graphs_up_to_iso
 
-from uncrossed.cli import _Assignment, _json_chunks, _json_text, main
+from uncrossed.cli import main
 from uncrossed.construction import ConstructionRecord, build_construction, construct
-from uncrossed.graphs import SLICE, make_complete, make_complete_bipartite, serialize_edge_list
-from uncrossed.oracle import exact_unc
-
-INTS = st.integers(min_value=-(2**70), max_value=2**70)
-FLOATS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-7, 1e16])
-STRINGS = st.text() | st.sampled_from(
-    ["", '"quoted"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "é ünï", " ", "\ud800", "😀"]
+from uncrossed.embedding import RotationSystem
+from uncrossed.graphs import (
+    SLICE,
+    Graph,
+    make_complete,
+    make_complete_bipartite,
+    serialize_edge_list,
+    write_json_pairs,
 )
-# int rows as the CLI writes them (edges, rotations, stack hosts), plus
-# ragged and empty rows and rows with a bool or a float among the ints
-MIXED = INTS | st.booleans() | FLOATS
-INT_ROWS = st.lists(
-    st.lists(INTS, max_size=5)
-    | st.lists(INTS, min_size=2, max_size=2)
-    | st.lists(MIXED, min_size=2, max_size=2)
-    | st.lists(MIXED, max_size=3)
-    | st.tuples(INTS, INTS),
-    max_size=6,
-)
-# rows of small non-negative int pairs, which the writer takes from its id
-# tables when told that ids run below TABLE_IDS, mixed with rows that every guard of that path must send item by
-# item: a bool, a negative or large int or a float beside an id, and
-# rows that are not pairs
-SMALL = st.integers(min_value=0, max_value=12)
-TABLE_IDS = 13
-ODD_ROW = (
-    st.tuples(SMALL, MIXED) | st.tuples(MIXED, SMALL) | st.lists(SMALL, max_size=3) | st.just([[0, 1], 2])
-)
-PAIR_ROWS = st.builds(
-    lambda rows, odd, at: rows if odd is None else rows[:at] + [odd] + rows[at:],
-    st.lists(st.tuples(SMALL, SMALL) | st.lists(SMALL, min_size=2, max_size=2), min_size=7, max_size=24),
-    st.none() | ODD_ROW,
-    st.integers(min_value=0, max_value=24),
-)
-LEAVES = st.none() | st.booleans() | INTS | FLOATS | STRINGS | INT_ROWS | PAIR_ROWS
-VALUES = st.recursive(
-    LEAVES,
-    lambda children: st.lists(children, max_size=5)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(STRINGS, children, max_size=5)
-    | st.dictionaries(STRINGS, INTS, max_size=5),
-    max_leaves=40,
-)
+from uncrossed.oracle import SubdrawingCertificate, exact_h, exact_unc
 
 
-@settings(max_examples=200, deadline=None)
-@given(VALUES)
-def test_json_text_matches_stdlib(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
-    # with id tables: an id of TABLE_IDS or more sends its block item by item
-    for ids in (TABLE_IDS, 7):
-        assert "".join(_json_chunks(value, ids=ids)) == json.dumps(value, indent=2)
+class _Writes(list):
+    """A text stream that keeps each write apart."""
+
+    write = list.append
 
 
-def test_json_text_edge_cases():
-    for value in ([], {}, (), [[]], [{}], {"a": []}, [[1, 2], [3], [], [True, 4], [4, False], [5, 0.5]],
-                  {"0-1": 3, "k": [[0, 1]]}, [-0.0, math.nan, math.inf, -math.inf, 1e-7],
-                  # records whose rows are stored tuples, handed over uncopied
-                  construct(Fraction(3, 20), 60).to_json_dict(),
-                  [c.to_json_dict() for c in exact_unc(make_complete(5))[1]]):
-        assert _json_text(value) == json.dumps(value, indent=2)
+def _pairs_writes(pairs, nl, n) -> _Writes:
+    out = _Writes()
+    write_json_pairs(out, pairs, nl, n)
+    return out
 
 
 @pytest.mark.parametrize("length", [SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1])
-def test_json_chunks_slice_boundaries(length):
-    # a run of flat items is cut every SLICE items, and the pieces join to
-    # the stdlib's text wherever the cuts fall
-    for value in (list(range(length)), [(i, -i) for i in range(length)],
-                  [(i, i + 1) for i in range(length)], {str(i): i for i in range(length)}):
-        # no id tables, tables for every id, and tables that leave the
-        # last block's ids out
-        for ids in (0, length + 1, length - 50):
-            chunks = list(_json_chunks(value, ids=ids))
-            assert "".join(chunks) == json.dumps(value, indent=2)
-            assert len(chunks) == length // SLICE + 1
-            nested = {"a": 1, "rows": value, "z": [value, 2]}
-            assert "".join(_json_chunks(nested, ids=ids)) == json.dumps(nested, indent=2)
+def test_json_pairs_slice_boundaries(length):
+    # a pair list is cut every SLICE pairs, and the pieces join to the
+    # stdlib's text at any indent wherever the cuts fall
+    n = length + 1
+    for pairs in ([(i, i + 1) for i in range(length)], tuple((i, 0) for i in range(length, 0, -1))):
+        for nl in ("\n", "\n  ", "\n      "):
+            writes = _pairs_writes(pairs, nl, n)
+            assert "".join(writes) == json.dumps(pairs, indent=2).replace("\n", nl)
+            assert len(writes) == -(-length // SLICE) + 1
+    assert "".join(_pairs_writes((), "\n  ", 3)) == "[]"
 
 
-def test_json_chunks_mixed_dict_across_boundaries():
-    nested_at = {SLICE - 2, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE}
-    mixed = {f"k{i}": ([i, {"x": i}] if i in nested_at else i) for i in range(2 * SLICE + 3)}
-    mixed[f"k{SLICE + 2}"] = "text"
-    mixed[f"k{SLICE + 3}"] = []
-    assert "".join(_json_chunks(mixed)) == json.dumps(mixed, indent=2)
-    assert "".join(_json_chunks(list(mixed.values()))) == json.dumps(list(mixed.values()), indent=2)
+def _certificate(n, assignment) -> SubdrawingCertificate:
+    # the writer reads the certificate's fields as they stand: a star
+    # beside any assignment, checked or not
+    star = Graph(n, tuple((0, v) for v in range(1, n)))
+    rotation = RotationSystem(star, tuple(map(tuple, star.adjacency())))
+    return SubdrawingCertificate(star, star.edges, rotation, assignment)
 
 
-# face assignments as certificates hold them, plus one entry that every
-# guard of the table path must send item by item: a bool, negative, large
-# or float id, or a face that is a bool, a float or any other JSON value
-IDS = st.integers(min_value=0, max_value=15)
+def _certificate_text(cert, nl) -> str:
+    out = io.StringIO()
+    cert.write_json(out, nl)
+    return out.getvalue()
+
+
+def _matches_dict(cert) -> bool:
+    # the per-item reference: to_json_dict holds the "<u>-<v>" keys
+    expected = json.dumps(cert.to_json_dict(), indent=2)
+    return all(_certificate_text(cert, nl) == expected.replace("\n", nl)
+               for nl in ("\n", "\n  ", "\n    "))
+
+
 ASSIGNMENT_IDS = 16
-ODD_IDS = st.booleans() | st.integers(min_value=-(2**70), max_value=2**70) | st.floats(allow_nan=False)
-FACES = st.integers(min_value=-5, max_value=2**70) | st.booleans() | st.floats(allow_nan=False)
-ASSIGNMENTS = st.builds(
-    lambda entries, odd: entries if odd is None else entries | dict([odd]),
-    st.dictionaries(st.tuples(IDS, IDS), st.integers(min_value=0, max_value=40), min_size=8, max_size=40)
-    | st.dictionaries(st.tuples(IDS, IDS), st.integers(min_value=0, max_value=40), max_size=4),
-    st.none()
-    | st.tuples(st.tuples(IDS | ODD_IDS, IDS) | st.tuples(IDS, ODD_IDS), st.integers(0, 9))
-    | st.tuples(st.tuples(IDS, IDS), FACES)
-    | st.tuples(st.tuples(IDS, IDS), VALUES),
-)
-
-
-def _assignment_dict(assignment) -> dict:
-    # the per-item reference: what SubdrawingCertificate.to_json_dict holds
-    return {f"{u}-{v}": assignment[u, v] for u, v in sorted(assignment)}
+IDS = st.integers(min_value=0, max_value=ASSIGNMENT_IDS - 1)
+ASSIGNMENTS = st.dictionaries(st.tuples(IDS, IDS), st.integers(min_value=0, max_value=2**70),
+                              max_size=40)
 
 
 @settings(max_examples=300, deadline=None)
 @given(ASSIGNMENTS)
 def test_assignment_written_as_its_dict(assignment):
-    # an _Assignment is written as the dict of "<u>-<v>" keys, in ascending
-    # edge order, empty or not, at the top or nested
-    expected = _assignment_dict(assignment)
-    nested = [{"a": _Assignment(assignment), "b": 1}]
-    for ids in (0, ASSIGNMENT_IDS):
-        text = "".join(_json_chunks(_Assignment(assignment), ids=ids))
-        assert text == json.dumps(expected, indent=2)
-        text = "".join(_json_chunks(nested, ids=ids))
-        assert text == json.dumps([{"a": expected, "b": 1}], indent=2)
+    # a certificate's assignment is written as the dict of "<u>-<v>" keys,
+    # in ascending edge order, empty or not, however the dict was filled
+    assert _matches_dict(_certificate(ASSIGNMENT_IDS, assignment))
 
 
 def test_assignment_across_slice_boundaries():
-    # table blocks beside a block that falls back item by item, on both
-    # sides of a SLICE boundary, join to the dict's text; the ids run to
-    # SLICE // 10 + 59, so the tables below SLICE // 10 + 40 leave the
-    # last block's ids out
-    assignment = {(i, i + 1 + j): j for i in range(SLICE // 10 + 50) for j in range(10)}
-    for odd in ({}, {(3, 5): True}, {(SLICE // 10 + 3, SLICE // 10 + 9): 2.5}):
-        value = assignment | odd
-        for ids in (SLICE // 10 + 60, SLICE // 10 + 40):
-            chunks = list(_json_chunks(_Assignment(value), ids=ids))
-            assert "".join(chunks) == json.dumps(_assignment_dict(value), indent=2)
-            assert len(chunks) == len(value) // SLICE + 1
+    # the assignment is cut every SLICE entries, and the pieces join to
+    # the dict's text wherever the cuts fall
+    n = 140
+    edges = list(itertools.combinations(range(n), 2))
+    random.Random(7).shuffle(edges)
+    for length in (SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1):
+        cert = _certificate(n, {e: i * 7919 % 1000 for i, e in enumerate(edges[:length])})
+        assert _matches_dict(cert)
+
+
+def test_oracle_stdout_matches_stdlib(capsys, tmp_path):
+    # every connected graph with n <= 6, n = 1 and 2 among them: no edge,
+    # a rotation [[]] and an empty assignment
+    src = tmp_path / "g.edgelist"
+    for g in connected_graphs_up_to_iso(6):
+        src.write_text(serialize_edge_list(g))
+        head = {"n": g.n, "m": g.m, "edges": g.edges}
+        value, witness = exact_h(g)
+        payload = {"kind": "max-uncrossed-subgraph", **head, "value": value,
+                   "witness": witness.to_json_dict()}
+        assert main(["oracle-h", "--in", str(src)]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n", g
+        value, cover = exact_unc(g)
+        payload = {"kind": "uncrossed-number", **head, "value": value,
+                   "cover": [c.to_json_dict() for c in cover]}
+        assert main(["oracle-unc", "--in", str(src)]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n", g
 
 
 def _streamed_record(rec) -> str:
-    return "".join(_json_chunks(rec.to_json_dict(_Assignment), ids=rec.n)) + "\n"
+    out = io.StringIO()
+    rec.write_json(out)
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("rec", [
@@ -183,12 +150,6 @@ def test_streamed_record_matches_dict(rec):
     keys = list(back.certificate.face_assignment)
     assert len(keys) < 2 or keys != sorted(keys)
     assert _streamed_record(back) == text
-
-
-@pytest.mark.parametrize("value", [{1: 2}, {(0, 1): 2}, {1, 2}, Fraction(1, 2), b"x", [object()]])
-def test_json_text_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        _json_text(value)
 
 
 def _sha(path) -> str:
