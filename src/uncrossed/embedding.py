@@ -117,16 +117,20 @@ def cofacial(faces: tuple[Face, ...], u: int, v: int) -> bool:
     return any(u in face.vertices and v in face.vertices for face in faces)
 
 
-def rotation_count(g: Graph) -> int:
-    """Number of rotation systems with each vertex's first neighbor pinned."""
+def _system_count(adj: list[list[int]]) -> int:
     total = 1
-    for a in g.adjacency():
+    for a in adj:
         total *= math.factorial(max(len(a) - 1, 0))
     return total
 
 
-def _check_budget(g: Graph, budget: int) -> None:
-    total = rotation_count(g)
+def rotation_count(g: Graph) -> int:
+    """Number of rotation systems with each vertex's first neighbor pinned."""
+    return _system_count(g.adjacency())
+
+
+def _check_budget(adj: list[list[int]], budget: int) -> None:
+    total = _system_count(adj)
     if total > budget:
         raise SearchBudgetError(f"{total} rotation systems exceed the budget of {budget}")
 
@@ -137,11 +141,9 @@ def _pinned_arrangements(g: Graph, budget: int) -> list[list[tuple[int, ...]]]:
     quotients out cyclic rotations.  Raises SearchBudgetError when the
     rotation systems they combine into number more than the budget.
     """
-    _check_budget(g, budget)
-    return [
-        [tuple(a[:1]) + rest for rest in itertools.permutations(a[1:])]
-        for a in g.adjacency()
-    ]
+    adj = g.adjacency()
+    _check_budget(adj, budget)
+    return [[tuple(a[:1]) + rest for rest in itertools.permutations(a[1:])] for a in adj]
 
 
 def enumerate_rotation_systems(g: Graph, budget: int = ROTATION_BUDGET_DEFAULT):
@@ -180,16 +182,29 @@ def first_planar_rotation(
     those sharing a prefix share its work.  Each choice links one dart
     into the vertex to its successor dart; the linked darts form open
     chains, and a chain linked back to its own first dart closes a face.
+    The last neighbor left is forced, and so is the link that closes the
+    vertex's cycle back to its first neighbor, so one step sets both.
     With m >= 2 every face of a connected simple graph has length >= 3 and
-    every face still open is a union of open chains, so a branch is cut,
-    after any link, once closed faces + open chains of length >= 3 +
-    (darts in shorter open chains) // 3 falls below the 2 - n + m faces of
-    a genus-0 embedding.  Only branches without a genus-0 completion are
+    every face still open is a union of open chains, so no completion has
+    more than closed faces + open chains of length >= 3 + (darts in shorter
+    open chains) // 3 faces, which is y // 3 for y = 3 * closed faces + the
+    sum of the open chains' lengths capped at 3.  Linking never raises y,
+    and a branch is cut once y // 3 falls below the 2 - n + m faces of a
+    genus-0 embedding.  Only branches without a genus-0 completion are
     cut.  Pairs are checked on the faces of each genus-0 leaf.
+
+    Reversing every cyclic order (the mirror image) keeps the faces, each
+    traversed backwards, so it keeps genus 0 and every co-facial pair.  An
+    order of degree <= 2 is its own mirror, so a hit and its mirror agree
+    up to the first vertex v of degree >= 3 in fix order, and at v they
+    hold an order and its reverse, of which the one with order[1] <
+    order[-1] comes first.  The first hit has that one, so v takes no
+    other, which halves an exhaustive search and leaves every answer as it
+    was.
     """
     g = Graph(n, edges)
-    _check_budget(g, budget)
     adj = g.adjacency()
+    _check_budget(adj, budget)
     # a vertex without neighbors sets no link
     fix_order = sorted((v for v in range(n) if adj[v]), key=lambda v: (len(adj[v]), v))
     darts = sorted(d for u, v in g.edges for d in ((u, v), (v, u)))
@@ -197,21 +212,27 @@ def first_planar_rotation(
     nd = len(darts)
     # faces shorter than 3 need m <= 1, whose one rotation system is
     # planar, so nothing is cut there
-    target_f = 2 - n + g.m if g.m >= 2 else 0
+    target_y = 3 * (2 - n + g.m) if g.m >= 2 else 0
     # per vertex fixed, in fix order: the dart in from its first neighbor,
     # the (dart out, dart in) of the others, ascending, and the closing
     # link's target, the dart out to its first neighbor
     first_in = [idx[(adj[v][0], v)] for v in fix_order]
     others = [tuple((idx[(v, w)], idx[(w, v)]) for w in adj[v][1:]) for v in fix_order]
-    closing = [((idx[(v, adj[v][0])], -1),) for v in fix_order]
+    close = [idx[(v, adj[v][0])] for v in fix_order]
+    closing = [((t, -1),) for t in close]
     last_i = len(fix_order) - 1
+    # the first vertex of degree >= 3, whose orders are taken with
+    # order[1] < order[-1] only
+    pin = next((i for i, v in enumerate(fix_order) if len(adj[v]) >= 3), -1)
     pair_masks = [1 << u | 1 << v for u, v in cofacial_pairs]
     tail_bit = [1 << u for u, _ in darts]
     nxt = [0] * nd
     # Open chains are kept by their end darts: end[] maps a chain's first
-    # dart to its last and back, and both ends hold the chain's length.
+    # dart to its last and back, and both ends hold the chain's length,
+    # capped at 3, so two merged chains' capped length is CAP[a + b].
     end = list(range(nd))
     length = [1] * nd
+    CAP = (0, 1, 2, 3, 3, 3, 3)
 
     def pairs_cofacial() -> bool:
         seen = [False] * nd
@@ -230,51 +251,59 @@ def first_planar_rotation(
 
     # Vertex fix_order[i] has its order fixed up to the neighbor whose dart
     # in is s, and `left` neighbors are still to place; each choice links s
-    # to the dart out to an unplaced neighbor, is undone on the way back,
-    # and once none is left the closing link completes the vertex.
+    # to the dart out to an unplaced neighbor and is undone on the way back;
+    # the frame with one neighbor left places it and sets the closing link.
     placed = [False] * nd
 
-    def dfs(i: int, s: int, left: int, closed: int, long_open: int, short: int) -> bool:
+    def dfs(i: int, s: int, left: int, y: int) -> bool:
         for t, s_next in others[i] if left else closing[i]:
             if placed[t]:
                 continue
+            if left == 1 and i == pin and t < nxt[first_in[i]]:
+                return False  # the mirror image of an order already searched
             nxt[s] = t
-            c, lo, sh = closed, long_open, short
-            a = length[s]
-            if a >= 3:
-                lo -= 1
-            else:
-                sh -= a
             head = end[s]
-            merged = head != t  # else s's chain starts at t: a face closes
-            if merged:
+            # unless s's chain starts at t: then a face closes, and the 3 that
+            # the chain put in y now stands for the face
+            if head != t:
+                a = length[s]
                 b = length[t]
-                if b >= 3:
-                    lo -= 1
-                else:
-                    sh -= b
                 last = end[t]
                 end[head] = last
                 end[last] = head
-                length[head] = length[last] = a + b
-                if a + b >= 3:
-                    lo += 1
-                else:
-                    sh += a + b
+                length[head] = length[last] = CAP[a + b]
+                y2 = y + length[head] - a - b
             else:
-                c += 1
-            if c + lo + sh // 3 >= target_f:
-                if left:
+                y2 = y
+            if left == 1:  # the closing link, to the dart out to the first neighbor
+                u = close[i]
+                nxt[s_next] = u
+                head2 = end[s_next]
+                if head2 != u:
+                    a2 = length[s_next]
+                    b2 = length[u]
+                    last2 = end[u]
+                    end[head2] = last2
+                    end[last2] = head2
+                    length[head2] = length[last2] = CAP[a2 + b2]
+                    y2 += length[head2] - a2 - b2
+            if y2 >= target_y:
+                if left > 1:
                     placed[t] = True
-                    found = dfs(i, s_next, left - 1, c, lo, sh)
+                    found = dfs(i, s_next, left - 1, y2)
                     placed[t] = False
                 elif i == last_i:  # every face is closed and the cuts left genus 0
                     found = not pair_masks or pairs_cofacial()
                 else:
-                    found = dfs(i + 1, first_in[i + 1], len(others[i + 1]), c, lo, sh)
+                    found = dfs(i + 1, first_in[i + 1], len(others[i + 1]), y2)
                 if found:
                     return True
-            if merged:
+            if left == 1 and head2 != u:
+                end[head2] = s_next
+                end[last2] = u
+                length[head2] = a2
+                length[last2] = b2
+            if head != t:
                 end[head] = s
                 end[last] = t
                 length[head] = a
@@ -282,7 +311,7 @@ def first_planar_rotation(
         return False
 
     if fix_order:
-        found = nd // 3 >= target_f and dfs(0, first_in[0], len(others[0]), 0, 0, nd)
+        found = nd >= target_y and dfs(0, first_in[0], len(others[0]), nd)
     else:  # a lone vertex
         found = not pair_masks
     del dfs  # dfs refers to itself; dropping it frees the search state now, not at the next GC

@@ -331,6 +331,9 @@ def _walk(g: Graph, limits: SearchLimits):
     m = g.m
     bits = [1 << i for i in range(m)]
     bit = dict(zip(g.edges, bits))
+    # per vertex, the mask of its edges: a candidate that misses one leaves
+    # the vertex bare, so it is not spanning (n = 1 has no edge to miss)
+    incident = [sum(bit[e] for e in g.edges if v in e) for v in range(g.n)] if m else []
     infeasible: set[int] = set()
     images: dict[Edge, tuple[int, ...]] | None = None
     holders = [0] * m
@@ -345,6 +348,8 @@ def _walk(g: Graph, limits: SearchLimits):
             if deadline is not None and time.monotonic() > deadline:
                 raise SearchBudgetError("time budget exceeded")
             if mask in infeasible or above and functools.reduce(operator.and_, held):
+                continue
+            if not all(map(mask.__and__, incident)):
                 continue
             hedges = tuple(e for e, b in zip(g.edges, bits) if mask & b)
             if not connected_spanning(g.n, hedges):

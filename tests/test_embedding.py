@@ -278,3 +278,40 @@ def test_decision_budget_matches_witness_search(g, budget):
     if g.n <= 6:  # a budget of exactly rotation_count(g) passes
         found = first_planar_rotation(g.n, g.edges, (), rotation_count(g))
         assert (found is not None) == nx.check_planarity(nx.Graph(g.edges))[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(["gnm", "tree", "cycle", "wheel"]), n=st.integers(1, 6),
+       seed=st.integers(0, 10**6), extra=st.integers(0, 9), pairs=st.integers(0, 4))
+def test_kernel_hit_is_the_smaller_mirror(family, n, seed, extra, pairs):
+    # the kernel takes, at the first vertex of degree >= 3, only orders
+    # with order[1] < order[-1], since the mirror image of a hit is a hit
+    rng = random.Random(seed)
+    if family == "tree":
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+    elif family == "cycle" and n >= 3:
+        edges = [(v, (v + 1) % n) for v in range(n)]
+    elif family == "wheel" and n >= 4:
+        edges = make_wheel(n).edges
+    else:
+        edges = make_random_gnm(n, min(n - 1 + extra, n * (n - 1) // 2), seed).edges
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    if not g.is_connected():
+        return
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges]
+    cofacial_pairs = rng.sample(non_edges, min(pairs, len(non_edges)))
+    orders = first_planar_rotation(n, g.edges, cofacial_pairs, rotation_count(g))
+    if orders is None:
+        return
+    for system in (orders, tuple(order[:1] + order[:0:-1] for order in orders)):
+        r = RotationSystem(g, system)
+        assert genus(r) == 0
+        faces = trace_faces(r)
+        assert all(cofacial(faces, u, v) for u, v in cofacial_pairs)
+    adj = g.adjacency()
+    branching = sorted((len(a), v) for v, a in enumerate(adj) if len(a) >= 3)
+    if branching:
+        order = orders[branching[0][1]]
+        assert order[1] < order[-1]
