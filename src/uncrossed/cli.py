@@ -150,7 +150,7 @@ def cmd_construct(args) -> int:
         with _Output(out / "drawing.svg") as f:
             render_record(rec, f)
     print(
-        f"n={rec.n} x={rec.x} m={rec.stats.m} m_prime={rec.stats.m_prime} "
+        f"n={rec.graph.n} x={rec.x} m={rec.stats.m} m_prime={rec.stats.m_prime} "
         f"t={rec.stats.t} density={rec.stats.density}"
     )
     return 0

@@ -14,6 +14,7 @@ import heapq
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -36,7 +37,6 @@ class ConstructionStats:
 @dataclass(frozen=True)
 class ConstructionRecord:
     epsilon_target: Fraction | None
-    n: int
     x: int
     x0: float | None
     graph: Graph
@@ -60,7 +60,7 @@ class ConstructionRecord:
         return {
             "kind": "construction",
             "epsilon": str(self.epsilon_target) if self.epsilon_target is not None else None,
-            "n": self.n,
+            "n": self.graph.n,
             "x": self.x,
             "x0": self.x0,
         }
@@ -97,15 +97,18 @@ class ConstructionRecord:
     @staticmethod
     def from_json_dict(data: dict) -> "ConstructionRecord":
         """Parse the record's JSON object, as to_json_dict holds it and
-        write_json writes it.  Missing keys, wrong types (n, x,
-        every vertex id and every stats count must be JSON integers, x0 a
-        number or null, epsilon a fraction string or null and density a
-        fraction string), an edge named twice, and crossed edges or
+        write_json writes it.  The record's graph is its certificate's:
+        n must be its vertex count, edges its edges in ascending order and
+        crossed its assignment keys in any order.  Missing keys, wrong
+        types (n, x, every vertex id and every stats count must be JSON
+        integers, x0 a finite number or null, every coordinate a finite
+        number, epsilon a fraction string or null and density a fraction
+        string), a record that disagrees with its certificate, and
         coordinates that do not fit the graph raise
         MalformedCertificateError."""
         try:
             n = data["n"]
-            edges = tuple(tuple(e) for e in data["edges"])
+            edges = data["edges"]
             crossed = tuple(tuple(e) for e in data["crossed"])
             hosts = tuple(tuple(h) for h in data["stack_hosts"])
             if not all_json_ints((n,), *edges, *crossed, *hosts):
@@ -114,17 +117,24 @@ class ConstructionRecord:
             if not all_json_ints((data["x"], stats["m"], stats["m_prime"], stats["t"], stats["f"])):
                 raise MalformedCertificateError("x and every stats count must be integers")
             x0 = data["x0"]
-            if x0 is not None and not (type(x0) in (int, float) and math.isfinite(x0)):
-                raise MalformedCertificateError(f"x0 {x0!r} is not a number")
+            numbers = itertools.chain((0 if x0 is None else x0,), *data["coordinates"])
+            if not all(type(c) in (int, float) and math.isfinite(c) for c in numbers):
+                raise MalformedCertificateError("x0 and every coordinate must be finite numbers")
             epsilon = data["epsilon"]
             if not (epsilon is None or type(epsilon) is str) or type(stats["density"]) is not str:
                 raise MalformedCertificateError("epsilon and density must be fraction strings")
-            graph = Graph(n, edges)
-            cert = SubdrawingCertificate.from_json_dict(data["certificate"], graph)
+            cert = SubdrawingCertificate.from_json_dict(data["certificate"])
+            graph = cert.graph
+            if n != graph.n:
+                raise MalformedCertificateError(f"record on {n} vertices, certificate on {graph.n}")
+            # pair by pair, so no tuple of the record's edges is built
+            if len(edges) != graph.m or not all(map(operator.eq, map(tuple, edges), graph.edges)):
+                raise MalformedCertificateError("edges must be the certificate's edges, ascending")
+            if sorted(crossed) != sorted(cert.face_assignment):
+                raise MalformedCertificateError("crossed != assignment keys")
             coordinates = tuple((float(x), float(y)) for x, y in data["coordinates"])
             record = ConstructionRecord(
                 epsilon_target=Fraction(epsilon) if epsilon is not None else None,
-                n=n,
                 x=data["x"],
                 x0=x0,
                 graph=graph,
@@ -146,13 +156,6 @@ class ConstructionRecord:
             raise MalformedCertificateError(
                 f"{len(coordinates)} coordinates for {graph.n} vertices"
             )
-        # sorted, the crossed edges are a strictly ascending run through the
-        # graph's sorted edges: each is found after the one before it
-        rest = iter(graph.edges)
-        if not all(e in rest for e in sorted(crossed)):
-            if not set(crossed) <= set(graph.edges):
-                raise MalformedCertificateError("a crossed edge is not an edge of the graph")
-            raise MalformedCertificateError("a crossed edge is named twice")
         return record
 
 
@@ -237,16 +240,14 @@ def build_construction(
     crossed = list(zip(itertools.repeat(1), rim[2:-1]))  # (1, x) closes the rim
     for i in range(1, x):
         crossed += zip(itertools.repeat(rim[i]), rim[i + 2:])
-    uncrossed = sorted((min(e), max(e)) for e in uncrossed)
-    graph = Graph(n, tuple(uncrossed) + tuple(crossed))
-
     rotation = RotationSystem(Graph(n, tuple(uncrossed)), tuple(tuple(o) for o in orders))
+    graph = Graph(n, rotation.graph.edges + tuple(crossed))
     final_faces = trace_faces(rotation)
     rim = set(range(1, x + 1))
     outer = [i for i, f in enumerate(final_faces) if f.vertices <= rim]
     _need(len(outer) == 1, f"{len(outer)} rim-only faces, not 1")
     assignment = dict.fromkeys(crossed, outer[0])
-    certificate = SubdrawingCertificate(graph, tuple(uncrossed), rotation, assignment)
+    certificate = SubdrawingCertificate(graph, rotation, assignment)
 
     m = graph.m
     m_prime = len(uncrossed)
@@ -259,7 +260,6 @@ def build_construction(
 
     record = ConstructionRecord(
         epsilon_target=Fraction(epsilon) if epsilon is not None else None,
-        n=n,
         x=x,
         x0=x0,
         graph=graph,
@@ -285,7 +285,7 @@ def layout_coordinates(rec: ConstructionRecord) -> tuple[tuple[float, float], ..
     for i in range(1, rec.x + 1):
         angle = 2 * math.pi * (i - 1) / rec.x
         coords.append((math.cos(angle), math.sin(angle)))
-    coords += [(0.0, 0.0)] * (rec.n - rec.x - 1)
+    coords += [(0.0, 0.0)] * (rec.graph.n - rec.x - 1)
     for w, a, b, c in rec.stack_hosts:
         coords[w] = (
             (coords[a][0] + coords[b][0] + coords[c][0]) / 3,
@@ -297,7 +297,7 @@ def layout_coordinates(rec: ConstructionRecord) -> tuple[tuple[float, float], ..
 def check_tightness(rec: ConstructionRecord) -> dict:
     """Re-derive and assert every identity and the two tightness
     properties; raises ConstructionIntegrityError on any failure."""
-    n, x = rec.n, rec.x
+    n, x = rec.graph.n, rec.x
     s = rec.stats
 
     _need(s.m == rec.graph.m == 3 * n - 3 + x * (x - 5) // 2, "edge count identity failed")

@@ -31,7 +31,6 @@ where the full walk takes 668.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import json
@@ -76,12 +75,18 @@ def all_json_ints(*rows) -> bool:
 
 @dataclass(frozen=True)
 class SubdrawingCertificate:
-    """Machine-checkable witness that h(graph) >= len(uncrossed)."""
+    """Machine-checkable witness that h(graph) >= len(uncrossed): a
+    rotation system of the uncrossed edges H and a face of it for every
+    other edge of the graph."""
 
     graph: Graph
-    uncrossed: tuple[Edge, ...]
     rotation: RotationSystem
     face_assignment: dict[Edge, int]
+
+    @property
+    def uncrossed(self) -> tuple[Edge, ...]:
+        """H, the rotation's edge set, sorted and distinct."""
+        return self.rotation.graph.edges
 
     def to_json_dict(self) -> dict:
         """The certificate's JSON object.  Its "assignment" maps "<u>-<v>"
@@ -124,14 +129,13 @@ class SubdrawingCertificate:
         out.write(inner + "}" + nl + "}")
 
     @staticmethod
-    def from_json_dict(data: dict, graph: Graph | None = None) -> "SubdrawingCertificate":
+    def from_json_dict(data: dict) -> "SubdrawingCertificate":
         """Parse the certificate's JSON object, as to_json_dict holds it and
-        write_json writes it.  Without a graph, the host graph
-        is the uncrossed edges plus the assignment keys; a given graph must
-        have n vertices.  n, every vertex id
-        and every face index must be a JSON integer, every assignment key
-        decimal digits "<u>-<v>", and no edge may be named twice; anything
-        else raises MalformedCertificateError."""
+        write_json writes it.  The host graph is the uncrossed edges plus
+        the assignment keys, on n vertices.  n, every vertex id and every
+        face index must be a JSON integer, every assignment key decimal
+        digits "<u>-<v>", and no edge may be named twice; anything else
+        raises MalformedCertificateError."""
         try:
             n = data["n"]
             pairs = [tuple(e) for e in data["uncrossed"]]
@@ -151,14 +155,11 @@ class SubdrawingCertificate:
                 named = set(uncrossed)
                 assignment = _edge_keyed(data["assignment"], named)
                 named = sorted(named)
-            if graph is None:
-                graph = Graph(n, tuple(named))
-            elif graph.n != n:
-                raise MalformedCertificateError(f"certificate on {n} vertices for {graph.n}")
+            graph = Graph(n, tuple(named))
             rotation = RotationSystem(Graph(n, uncrossed), orders)
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise MalformedCertificateError(f"bad certificate JSON: {exc}") from exc
-        return SubdrawingCertificate(graph, uncrossed, rotation, assignment)
+        return SubdrawingCertificate(graph, rotation, assignment)
 
 
 def _edge_keyed(assignment, named=None) -> dict[Edge, int]:
@@ -182,38 +183,31 @@ def _edge_keyed(assignment, named=None) -> dict[Edge, int]:
     return keyed
 
 
-def _holds(edges: tuple[Edge, ...], e) -> bool:
-    """e is in the sorted tuple edges; False for an e that does not
-    compare with edges."""
-    try:
-        i = bisect.bisect_left(edges, e)
-    except TypeError:
-        return False
-    return i < len(edges) and edges[i] == e
-
-
 def verify_certificate(cert: SubdrawingCertificate, faces_out: list | None = None) -> bool:
     """Check the four witness conditions independently.
 
-    Structural garbage (edges outside the graph, dangling face indices,
-    rotation over the wrong edge set) raises MalformedCertificateError;
-    a well-formed but invalid witness returns False.  A certificate that
-    verifies leaves the faces of its rotation in faces_out, when given,
-    so that a caller need not trace them again.
+    H is the rotation's edge set.  Structural garbage (an edge of H
+    outside the graph, a rotation on another vertex count, assignment keys
+    other than the crossed edges, dangling face indices) raises
+    MalformedCertificateError; a well-formed but invalid witness returns
+    False.  A certificate that verifies leaves the faces of its rotation
+    in faces_out, when given, so that a caller need not trace them again.
     """
     g = cert.graph
-    edges = g.edges  # sorted and distinct
-    hset = set(cert.uncrossed)
-    if not all(_holds(edges, e) for e in hset):
+    edges = g.edges  # sorted and distinct, as H is
+    hedges = cert.uncrossed
+    # H is a subset of E iff each edge of H is found after the one before it
+    rest = iter(edges)
+    if not all(e in rest for e in hedges):
         raise MalformedCertificateError("uncrossed contains an edge not in the graph")
-    if cert.rotation.graph.n != g.n or set(cert.rotation.graph.edges) != hset:
+    if cert.rotation.graph.n != g.n:
         raise MalformedCertificateError("rotation is not over the uncrossed subgraph")
     # with H a subset of E, the keys are E - H iff H and the keys, sorted
     # together, are E
     assignment = cert.face_assignment
     try:
-        exact = len(assignment) == len(edges) - len(hset) and all(
-            map(operator.eq, sorted(itertools.chain(hset, assignment)), edges)
+        exact = len(assignment) == len(edges) - len(hedges) and all(
+            map(operator.eq, sorted(itertools.chain(hedges, assignment)), edges)
         )
     except TypeError:  # a key that does not compare with edges
         exact = False
@@ -227,13 +221,13 @@ def verify_certificate(cert: SubdrawingCertificate, faces_out: list | None = Non
         if not 0 <= idx < f:
             raise MalformedCertificateError(f"dangling face index {idx} for edge {e}")
 
-    if not connected_spanning(g.n, hset):
+    if not connected_spanning(g.n, hedges):
         return False
     # Euler: a connected (V, H) has genus 0 iff it has 2 - n + |H| faces,
     # and a lone vertex spans one face
-    if (f if hset else 1) != 2 - g.n + len(hset):
+    if (f if hedges else 1) != 2 - g.n + len(hedges):
         return False
-    if g.n >= 3 and len(hset) > 3 * g.n - 6:
+    if g.n >= 3 and len(hedges) > 3 * g.n - 6:
         return False
     for (u, v), idx in assignment.items():
         verts = faces[idx].vertices
@@ -263,7 +257,7 @@ def _witness(
             if u in face.vertices and v in face.vertices:
                 assignment[e] = i
                 break
-    return SubdrawingCertificate(g, tuple(sorted(hedges)), rotation, assignment)
+    return SubdrawingCertificate(g, rotation, assignment)
 
 
 def feasible(
@@ -289,11 +283,12 @@ def _size_cap(g: Graph) -> int:
 
 
 def _walk(g: Graph, limits: SearchLimits):
-    """Yield (edges, orders) for every inclusion-maximal feasible set,
-    largest first and lexicographically within a size; orders are the
-    cyclic orders of the kernel's first hit on the set, its witness.
-    After the last set of each size level that holds one, yield
-    _LEVEL_END: every set yielded so far is final by then.
+    """Yield (edges, orders, mask) for every inclusion-maximal feasible
+    set, largest first and lexicographically within a size; orders are
+    the cyclic orders of the kernel's first hit on the set, its witness,
+    and mask has bit i set for each edge i of g.edges in the set.  After
+    the last set of each size level that holds one, yield _LEVEL_END:
+    every set yielded so far is final by then.  The first item is a set.
 
     Scanning sizes downward makes maximality checks local: a candidate
     is maximal iff it is feasible and not contained in a set already
@@ -361,7 +356,7 @@ def _walk(g: Graph, limits: SearchLimits):
                     if mask >> i & 1:
                         holders[i] |= 1 << count
                 count += 1
-                yield hedges, orders
+                yield hedges, orders, mask
                 continue
             if images is None:
                 auts = automorphisms(g)
@@ -374,11 +369,6 @@ def _walk(g: Graph, limits: SearchLimits):
             yield _LEVEL_END
 
 
-def _maximal_feasible(g: Graph, limits: SearchLimits):
-    """The walk's maximal sets without its level ends."""
-    return (item for item in _walk(g, limits) if item is not _LEVEL_END)
-
-
 def exact_h(
     g: Graph, limits: SearchLimits = DEFAULT_LIMITS
 ) -> tuple[int, SubdrawingCertificate]:
@@ -387,16 +377,15 @@ def exact_h(
     The witness is the first set of the size-descending walk, drawn on the
     kernel's first hit for it, so it is deterministic.
     """
-    for hedges, orders in _maximal_feasible(g, limits):
-        return len(hedges), _witness(g, hedges, orders)
-    raise AssertionError("unreachable: a spanning tree is always feasible")
+    hedges, orders, _ = next(_walk(g, limits))
+    return len(hedges), _witness(g, hedges, orders)
 
 
 def maximal_feasible_sets(
     g: Graph, limits: SearchLimits = DEFAULT_UNC_LIMITS
 ) -> tuple[tuple[Edge, ...], ...]:
     """All inclusion-maximal feasible edge sets, largest first."""
-    return tuple(hedges for hedges, _ in _maximal_feasible(g, limits))
+    return tuple(item[0] for item in _walk(g, limits) if item is not _LEVEL_END)
 
 
 def _find_cover(masks: list[int], full: int, k: int) -> list[int] | None:
@@ -458,14 +447,13 @@ def exact_unc(
     over the full list.  The cover is the first in `_find_cover`'s order
     among the sets walked when it is found.
     """
-    edge_index = {e: i for i, e in enumerate(g.edges)}
     full = (1 << g.m) - 1
     sets = []
     masks = []
     for item in _walk(g, limits):
         if item is not _LEVEL_END:
-            sets.append(item)
-            masks.append(sum(1 << edge_index[e] for e in item[0]))
+            sets.append(item[:2])
+            masks.append(item[2])
             continue
         if g.m == 0:  # nothing to cover, but one drawing still shows the vertex
             return 1, [_witness(g, *sets[0])]

@@ -396,10 +396,19 @@ def test_render_strict_json_valid_inputs(capsys, tmp_path, payload):
     dict(PATH3_CERT, assignment={" 0-2": 0}),
     dict(PATH3_CERT, assignment={"0-2": 0, "2-0": 0}),
     dict(PATH3_CERT, assignment={"0-2": 0, "0-1": 0}),
+    # a coordinate is a finite JSON number
+    dict(PATH3_RECORD, coordinates=[["1.5", 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    dict(PATH3_RECORD, coordinates=[[True, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    dict(PATH3_RECORD, coordinates=[[float("nan"), 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    dict(PATH3_RECORD, coordinates=[[float("inf"), float("-inf")], [1.0, 0.0], [0.0, 1.0]]),
+    # n, edges and crossed are the certificate's
+    dict(PATH3_RECORD, edges=[[0, 1], [1, 2]], crossed=[]),
+    dict(PATH3_RECORD, crossed=[]),
+    dict(PATH3_RECORD, n=4, coordinates=PATH3_RECORD["coordinates"] + [[1.0, 1.0]]),
 ])
 def test_render_loose_json_exit_code(capsys, tmp_path, payload):
     # a bool is not a vertex id, an assignment key is "<digits>-<digits>",
-    # and no edge is named twice
+    # no edge is named twice, and a record agrees with its certificate
     assert _render_exit(capsys, tmp_path, payload) == 4
     assert not (tmp_path / "x.svg").exists()
 

@@ -48,9 +48,7 @@ def wheel_certificate_in_k5():
     rotation = RotationSystem(Graph(5, wheel_edges), W5_ORDER)
     faces = trace_faces(rotation)
     outer = next(i for i, f in enumerate(faces) if len(f) == 4)
-    return k5, SubdrawingCertificate(
-        k5, wheel_edges, rotation, {(1, 3): outer, (2, 4): outer}
-    )
+    return k5, SubdrawingCertificate(k5, rotation, {(1, 3): outer, (2, 4): outer})
 
 
 def test_verify_construction_certificate():
@@ -68,7 +66,7 @@ def test_verify_rejects_wrong_face():
     faces = trace_faces(cert.rotation)
     triangle = next(i for i, f in enumerate(faces)
                     if len(f) == 3 and not {1, 3} <= f.vertices)
-    bad = SubdrawingCertificate(k5, cert.uncrossed, cert.rotation,
+    bad = SubdrawingCertificate(k5, cert.rotation,
                                 {(1, 3): triangle, (2, 4): cert.face_assignment[(2, 4)]})
     assert not verify_certificate(bad)
 
@@ -76,16 +74,13 @@ def test_verify_rejects_wrong_face():
 def test_verify_malformed():
     k5, cert = wheel_certificate_in_k5()
     with pytest.raises(MalformedCertificateError):
-        verify_certificate(SubdrawingCertificate(
-            k5, cert.uncrossed, cert.rotation, {(1, 3): 99, (2, 4): 0}))
+        verify_certificate(SubdrawingCertificate(k5, cert.rotation, {(1, 3): 99, (2, 4): 0}))
     with pytest.raises(MalformedCertificateError):
         # assignment must cover exactly the crossed edges
-        verify_certificate(SubdrawingCertificate(
-            k5, cert.uncrossed, cert.rotation, {(1, 3): 0}))
+        verify_certificate(SubdrawingCertificate(k5, cert.rotation, {(1, 3): 0}))
     k4 = make_complete(4)
     with pytest.raises(MalformedCertificateError):
-        verify_certificate(SubdrawingCertificate(
-            k4, ((0, 5),), cert.rotation, {}))
+        verify_certificate(SubdrawingCertificate(k4, cert.rotation, {}))
 
 
 @pytest.mark.parametrize("keys", [
@@ -96,7 +91,7 @@ def test_verify_malformed():
 ])
 def test_verify_assignment_keys_exactly_crossed(keys):
     k5, cert = wheel_certificate_in_k5()
-    bad = SubdrawingCertificate(k5, cert.uncrossed, cert.rotation, dict.fromkeys(keys, 0))
+    bad = SubdrawingCertificate(k5, cert.rotation, dict.fromkeys(keys, 0))
     with pytest.raises(MalformedCertificateError,
                        match="^assignment keys must be exactly the crossed edges$"):
         verify_certificate(bad)
@@ -109,7 +104,7 @@ def _set_based_structure_fault(cert):
     hset = set(cert.uncrossed)
     if not hset <= edge_set:
         return "uncrossed contains an edge not in the graph"
-    if cert.rotation.graph.n != cert.graph.n or set(cert.rotation.graph.edges) != hset:
+    if cert.rotation.graph.n != cert.graph.n:
         return "rotation is not over the uncrossed subgraph"
     keys = cert.face_assignment
     if len(keys) != len(edge_set) - len(hset) or not all(
@@ -131,14 +126,21 @@ ODD_KEYS = ["1-3", 5, None, (1,), (1, 3, 0), (1, "3"), ("1", 3), (1.0, 3.0), (2.
     *([(1, 3), odd] for odd in ODD_KEYS),  # a key that is not an int pair
     *([odd] for odd in ODD_KEYS),
 ])
-@pytest.mark.parametrize("uncrossed", [None, ((0, 1), (0, 5)), ((0, 1), "0-2"), ((0, 1), (0, "a"))])
+@pytest.mark.parametrize("uncrossed", [
+    None,  # the K_5 certificate's host and rotation
+    # a host and a rotation whose edges are H: a host that lacks (0, 1), an
+    # edge of H; a host on one vertex more than the rotation; a smaller H
+    (Graph(5, make_complete(5).edges[1:]), RotationSystem(make_wheel(5), W5_ORDER)),
+    (Graph(6, make_complete(5).edges), RotationSystem(make_wheel(5), W5_ORDER)),
+    (make_complete(5), RotationSystem(Graph(5, make_wheel(5).edges[:-1]),
+                                      W5_ORDER[:3] + ((2, 0), (0, 1)))),
+])
 def test_verify_structure_matches_set_based_checks(keys, uncrossed):
     # the sorted-edge checks raise what the set-based ones raised, and a
     # certificate they pass gets the same verdict
     k5, cert = wheel_certificate_in_k5()
-    if uncrossed is not None:
-        cert = SubdrawingCertificate(k5, uncrossed, cert.rotation, cert.face_assignment)
-    bad = SubdrawingCertificate(k5, cert.uncrossed, cert.rotation, dict.fromkeys(keys, 0))
+    host, rotation = (k5, cert.rotation) if uncrossed is None else uncrossed
+    bad = SubdrawingCertificate(host, rotation, dict.fromkeys(keys, 0))
     fault = _set_based_structure_fault(bad)
     if fault is None:
         assert verify_certificate(bad) is False  # face 0 does not hold (2, 4)
@@ -206,7 +208,7 @@ def test_certificate_parser_matches_key_by_key_reading(assignment):
 def test_verify_rejects_genus_one_rotation():
     k4 = make_complete(4)
     rotation = next(r for r in enumerate_rotation_systems(k4) if genus(r) == 1)
-    assert not verify_certificate(SubdrawingCertificate(k4, k4.edges, rotation, {}))
+    assert not verify_certificate(SubdrawingCertificate(k4, rotation, {}))
 
 
 def test_verify_genus_from_one_trace_matches_genus(monkeypatch):
@@ -221,7 +223,7 @@ def test_verify_genus_from_one_trace_matches_genus(monkeypatch):
         assert len(systems) == count
         for r in systems:
             traced.clear()
-            assert verify_certificate(SubdrawingCertificate(g, g.edges, r, {})) == (genus(r) == 0)
+            assert verify_certificate(SubdrawingCertificate(g, r, {})) == (genus(r) == 0)
             assert traced == [r]
 
 
@@ -230,7 +232,7 @@ def test_verify_rejects_disconnected_uncrossed_part():
     halves = ((0, 1), (2, 3))
     rotation = RotationSystem(Graph(4, halves), ((1,), (0,), (3,), (2,)))
     assignment = {e: 0 for e in k4.edges if e not in halves}
-    assert not verify_certificate(SubdrawingCertificate(k4, halves, rotation, assignment))
+    assert not verify_certificate(SubdrawingCertificate(k4, rotation, assignment))
 
 
 def test_verify_rejects_bool_face_index():
@@ -239,9 +241,9 @@ def test_verify_rejects_bool_face_index():
     c4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
     rotation = RotationSystem(c4, ((1, 3), (0, 2), (1, 3), (0, 2)))
     host = Graph(4, c4.edges + ((0, 2),))
-    assert verify_certificate(SubdrawingCertificate(host, c4.edges, rotation, {(0, 2): 1}))
+    assert verify_certificate(SubdrawingCertificate(host, rotation, {(0, 2): 1}))
     with pytest.raises(MalformedCertificateError, match="not an integer"):
-        verify_certificate(SubdrawingCertificate(host, c4.edges, rotation, {(0, 2): True}))
+        verify_certificate(SubdrawingCertificate(host, rotation, {(0, 2): True}))
 
 
 def test_verify_dangling_index_raises_on_genus_one_rotation():
@@ -251,7 +253,7 @@ def test_verify_dangling_index_raises_on_genus_one_rotation():
     h = Graph(4, hedges)
     rotation = next(r for r in enumerate_rotation_systems(h) if genus(r) == 1)
     with pytest.raises(MalformedCertificateError):
-        verify_certificate(SubdrawingCertificate(k4, hedges, rotation, {k4.edges[-1]: 7}))
+        verify_certificate(SubdrawingCertificate(k4, rotation, {k4.edges[-1]: 7}))
 
 
 def test_feasible_examples():
@@ -482,7 +484,8 @@ def test_feasible_matches_brute_force_reference_n6():
 def test_certificate_json_round_trip():
     _, cert = wheel_certificate_in_k5()
     data = cert.to_json_dict()
-    back = SubdrawingCertificate.from_json_dict(data, cert.graph)
+    back = SubdrawingCertificate.from_json_dict(data)
+    assert back.graph == cert.graph
     assert back.uncrossed == cert.uncrossed
     assert back.rotation == cert.rotation
     assert back.face_assignment == cert.face_assignment
@@ -540,6 +543,18 @@ def _reference_walk(g):
     return found
 
 
+def _walk_sets(g, limits=DEFAULT_UNC_LIMITS):
+    # the walk's (edges, orders) items without its level ends; each item's
+    # mask has the bits of its edges' indices in g.edges
+    sets = []
+    for item in oracle._walk(g, limits):
+        if item is not oracle._LEVEL_END:
+            hedges, orders, mask = item
+            assert mask == sum(1 << g.edges.index(e) for e in hedges)
+            sets.append((hedges, orders))
+    return sets
+
+
 @pytest.mark.slow
 def test_orbit_cache_walk_matches_reference():
     # same maximal sets in the same order, each with the same first
@@ -551,7 +566,7 @@ def test_orbit_cache_walk_matches_reference():
     for g in graphs:
         reference = _reference_walk(g)
         assert maximal_feasible_sets(g) == tuple(h for h, _ in reference), g
-        assert list(oracle._maximal_feasible(g, DEFAULT_UNC_LIMITS)) == reference, g
+        assert _walk_sets(g) == reference, g
 
 
 def test_walk_matches_reference_on_small_graphs():
@@ -562,7 +577,7 @@ def test_walk_matches_reference_on_small_graphs():
     graphs = small_connected_corpus(5) + [make_complete_bipartite(3, 3), make_wheel(6)]
     graphs += [g for g in connected_graphs_up_to_iso(6) if 11 <= g.m <= 13]
     for g in graphs:
-        assert list(oracle._maximal_feasible(g, DEFAULT_UNC_LIMITS)) == _reference_walk(g), g
+        assert _walk_sets(g) == _reference_walk(g), g
 
 
 def _atlas_7(m):
@@ -582,4 +597,4 @@ def test_walk_matches_reference_on_7_vertex_graphs(m, count):
     graphs = _atlas_7(m)
     assert len(graphs) == count
     for g in graphs:
-        assert list(oracle._maximal_feasible(g, SearchLimits(max_n=7))) == _reference_walk(g), g
+        assert _walk_sets(g, SearchLimits(max_n=7)) == _reference_walk(g), g

@@ -62,7 +62,7 @@ def _certificate(n, assignment) -> SubdrawingCertificate:
     # beside any assignment, checked or not
     star = Graph(n, tuple((0, v) for v in range(1, n)))
     rotation = RotationSystem(star, tuple(map(tuple, star.adjacency())))
-    return SubdrawingCertificate(star, star.edges, rotation, assignment)
+    return SubdrawingCertificate(star, rotation, assignment)
 
 
 def _certificate_text(cert, nl) -> str:
@@ -144,7 +144,7 @@ def test_streamed_record_matches_dict(rec):
     # written in ascending edge order all the same
     data = json.loads(text)
     pairs = list(data["certificate"]["assignment"].items())
-    random.Random(rec.n).shuffle(pairs)
+    random.Random(rec.graph.n).shuffle(pairs)
     data["certificate"]["assignment"] = dict(pairs)
     back = ConstructionRecord.from_json_dict(data)
     keys = list(back.certificate.face_assignment)
@@ -211,20 +211,16 @@ def test_render_record_json_matches_construct_svg(capsys, tmp_path):
     assert (tmp_path / "again.svg").read_bytes() == (tmp_path / "drawing.svg").read_bytes()
 
 
-def test_construct_peak_memory(tmp_path):
-    # the writers stream in slices, so no whole record or drawing is held,
-    # and the record holds one copy of each edge with no JSON dict of it:
-    # about 40 MB on Linux x86-64 with Python 3.11, against 65 MB with a
-    # string-keyed copy of the face assignment and 136 MB when each file
-    # was built as one string.  The child reads its VmHWM, not
-    # its ru_maxrss: on Linux a child's ru_maxrss counts the memory of the
-    # process that started it, and pytest's own can pass 100 MB.
+def _peak_mb(argv) -> float:
+    # the peak resident set of a child process that runs main(argv), which
+    # must exit 0.  The child reads its VmHWM, not its ru_maxrss: on Linux a
+    # child's ru_maxrss counts the memory of the process that started it,
+    # and pytest's own can pass 100 MB.
     status = Path("/proc/self/status")
     if not status.exists():
         pytest.skip("reads the peak resident set from /proc")
     script = (
-        "import sys; from uncrossed.cli import main; "
-        f"code = main(['construct', '--epsilon', '3/20', '--n', '1000', '--out', {str(tmp_path)!r}, '--svg']); "
+        f"import sys; from uncrossed.cli import main; code = main({argv!r}); "
         f"print(next(line for line in open({str(status)!r}) if line.startswith('VmHWM:')), file=sys.stderr); "
         "sys.exit(code)"
     )
@@ -232,7 +228,26 @@ def test_construct_peak_memory(tmp_path):
     assert proc.returncode == 0, proc.stderr
     field, kb, unit = proc.stderr.split()[-3:]
     assert (field, unit) == ("VmHWM:", "kB")
-    assert int(kb) / 1024 < 55
+    return int(kb) / 1024
+
+
+def test_construct_peak_memory(tmp_path):
+    # the writers stream in slices, so no whole record or drawing is held,
+    # and the record holds one copy of each edge with no JSON dict of it:
+    # about 40 MB on Linux x86-64 with Python 3.11, against 65 MB with a
+    # string-keyed copy of the face assignment and 136 MB when each file
+    # was built as one string
+    argv = ["construct", "--epsilon", "3/20", "--n", "1000", "--out", str(tmp_path), "--svg"]
+    assert _peak_mb(argv) < 55
+
+
+def test_render_record_peak_memory(capsys, tmp_path):
+    # the parsed JSON is most of it: the record's graph is its certificate's,
+    # so no second copy of the edges is built.  About 112 MB on Linux x86-64
+    # with Python 3.11, against 121 MB with a graph of the record's own
+    assert main(["construct", "--epsilon", "3/20", "--n", "1000", "--out", str(tmp_path)]) == 0
+    argv = ["render", "--in", str(tmp_path / "record.json"), "--out", str(tmp_path / "x.svg")]
+    assert _peak_mb(argv) < 130
 
 
 @pytest.mark.parametrize("name,graph", [("k5", make_complete(5)),
