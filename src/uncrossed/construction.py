@@ -41,10 +41,14 @@ class ConstructionRecord:
     x0: float | None
     graph: Graph
     certificate: SubdrawingCertificate
-    crossed_edges: tuple[Edge, ...]
     coordinates: tuple[tuple[float, float], ...]
     stack_hosts: tuple[tuple[int, int, int, int], ...]  # (new vertex, a, b, c)
     stats: ConstructionStats
+
+    @property
+    def crossed_edges(self) -> tuple[Edge, ...]:
+        """The chords, the certificate's assignment keys, ascending."""
+        return tuple(sorted(self.certificate.face_assignment))
 
     def to_json_dict(self) -> dict:
         """The record's JSON object."""
@@ -97,19 +101,19 @@ class ConstructionRecord:
     @staticmethod
     def from_json_dict(data: dict) -> "ConstructionRecord":
         """Parse the record's JSON object, as to_json_dict holds it and
-        write_json writes it.  The record's graph is its certificate's:
-        n must be its vertex count, edges its edges in ascending order and
-        crossed its assignment keys in any order.  Missing keys, wrong
-        types (n, x, every vertex id and every stats count must be JSON
-        integers, x0 a finite number or null, every coordinate a finite
-        number, epsilon a fraction string or null and density a fraction
-        string), a record that disagrees with its certificate, and
-        coordinates that do not fit the graph raise
-        MalformedCertificateError."""
+        write_json writes it.  The record's graph and chords are its
+        certificate's: n must be its vertex count, edges its edges in
+        ascending order and crossed its assignment keys in any order, and
+        no copy of crossed is kept.  Missing keys, wrong types (n, x, every
+        vertex id and every stats count must be JSON integers, x0 a finite
+        number or null, every coordinate a finite number, epsilon a
+        fraction string or null and density a fraction string), a record
+        that disagrees with its certificate, and coordinates that do not
+        fit the graph raise MalformedCertificateError."""
         try:
             n = data["n"]
             edges = data["edges"]
-            crossed = tuple(tuple(e) for e in data["crossed"])
+            crossed = data["crossed"]
             hosts = tuple(tuple(h) for h in data["stack_hosts"])
             if not all_json_ints((n,), *edges, *crossed, *hosts):
                 raise MalformedCertificateError("n and every vertex id must be integers")
@@ -130,7 +134,11 @@ class ConstructionRecord:
             # pair by pair, so no tuple of the record's edges is built
             if len(edges) != graph.m or not all(map(operator.eq, map(tuple, edges), graph.edges)):
                 raise MalformedCertificateError("edges must be the certificate's edges, ascending")
-            if sorted(crossed) != sorted(cert.face_assignment):
+            chords = sorted(cert.face_assignment)
+            # sorted as lists and compared pair by pair, so no tuple of crossed is built
+            if len(crossed) != len(chords) or not all(
+                map(operator.eq, map(tuple, sorted(crossed)), chords)
+            ):
                 raise MalformedCertificateError("crossed != assignment keys")
             coordinates = tuple((float(x), float(y)) for x, y in data["coordinates"])
             record = ConstructionRecord(
@@ -139,7 +147,6 @@ class ConstructionRecord:
                 x0=x0,
                 graph=graph,
                 certificate=cert,
-                crossed_edges=crossed,
                 coordinates=coordinates,
                 stack_hosts=hosts,
                 stats=ConstructionStats(
@@ -264,7 +271,6 @@ def build_construction(
         x0=x0,
         graph=graph,
         certificate=certificate,
-        crossed_edges=tuple(crossed),
         coordinates=(),
         stack_hosts=tuple(hosts),
         stats=ConstructionStats(m, m_prime, t, len(final_faces), Fraction(m, n * n)),
@@ -304,7 +310,7 @@ def check_tightness(rec: ConstructionRecord) -> dict:
     _need(s.m_prime == len(rec.certificate.uncrossed) == 3 * n - 3 - x, "m' identity failed")
     _need(s.t == 2 * n - 2 - x, "triangle count identity failed")
     _need(s.f == s.t + 1, "face count identity failed")
-    _need(len(rec.crossed_edges) == x * (x - 3) // 2, "crossed-chord count failed")
+    _need(len(rec.certificate.face_assignment) == x * (x - 3) // 2, "crossed-chord count failed")
     _need(2 * s.m >= x * x, "sqrt(2m) >= x failed")
 
     # property 1, 0 <= 3n - 3 - m' <= sqrt(2m), and the cap m' <= h_upper(n, m),

@@ -133,39 +133,30 @@ class SubdrawingCertificate:
         """Parse the certificate's JSON object, as to_json_dict holds it and
         write_json writes it.  The host graph is the uncrossed edges plus
         the assignment keys, on n vertices.  n, every vertex id and every
-        face index must be a JSON integer, every assignment key decimal
-        digits "<u>-<v>", and no edge may be named twice; anything else
-        raises MalformedCertificateError."""
+        face index must be a JSON integer and every assignment key decimal
+        digits "<u>-<v>"; the keys are read once, key by key, and then
+        Graph checks the host's edges, so a key that names an uncrossed
+        edge is Graph's duplicate edge.  Anything else raises
+        MalformedCertificateError."""
         try:
             n = data["n"]
             pairs = [tuple(e) for e in data["uncrossed"]]
             orders = tuple(tuple(c) for c in data["rotation"])
             if not all_json_ints((n,), *pairs, *orders):
                 raise MalformedCertificateError("n and every vertex id must be integers")
-            uncrossed = tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
-            try:  # no edge named twice: sorted, the edges named are ascending
-                assignment = _edge_keyed(data["assignment"])
-                named = sorted(itertools.chain(uncrossed, assignment))
-                fault = len(assignment) < len(data["assignment"]) or not all(
-                    map(operator.lt, named, itertools.islice(named, 1, None))
-                )
-            except MalformedCertificateError:
-                fault = True
-            if fault:  # read again to find the first fault, and its message
-                named = set(uncrossed)
-                assignment = _edge_keyed(data["assignment"], named)
-                named = sorted(named)
-            graph = Graph(n, tuple(named))
+            uncrossed = tuple((min(u, v), max(u, v)) for u, v in pairs)
+            assignment = _edge_keyed(data["assignment"])
+            graph = Graph(n, (*uncrossed, *assignment))
             rotation = RotationSystem(Graph(n, uncrossed), orders)
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise MalformedCertificateError(f"bad certificate JSON: {exc}") from exc
         return SubdrawingCertificate(graph, rotation, assignment)
 
 
-def _edge_keyed(assignment, named=None) -> dict[Edge, int]:
+def _edge_keyed(assignment) -> dict[Edge, int]:
     """The assignment keyed by edge, read key by key; raises at the first
-    key that is not <u>-<v>, face index that is not an int or, when
-    named is given, edge in named, which each edge is then added to."""
+    key that is not <u>-<v>, names an edge an earlier key named, or has a
+    face index that is not an int."""
     keyed = {}
     for key, idx in assignment.items():
         match = _EDGE_KEY.fullmatch(key)
@@ -173,10 +164,8 @@ def _edge_keyed(assignment, named=None) -> dict[Edge, int]:
             raise MalformedCertificateError(f"assignment key {key!r} is not <u>-<v>")
         u, v = int(match[1]), int(match[2])
         e = (min(u, v), max(u, v))
-        if named is not None:
-            if e in named:
-                raise MalformedCertificateError(f"edge {key} is named twice")
-            named.add(e)
+        if e in keyed:
+            raise MalformedCertificateError(f"edge {key} is named twice")
         if type(idx) is not int:
             raise MalformedCertificateError(f"face index {idx!r} of {key} is not an integer")
         keyed[e] = idx

@@ -168,16 +168,15 @@ def render_certificate(cert: SubdrawingCertificate, faces, offset: float = 0.0):
     return _drawing_lines(coords, cert.uncrossed, sorted(cert.face_assignment), arcs)
 
 
-def _verified_certificate(data: dict):
-    """Parse and re-verify one certificate before it is drawn; return it
-    with the faces that the verification traced.
+def _verified(cert: SubdrawingCertificate):
+    """Re-verify one parsed certificate before it is drawn; return it with
+    the faces that the verification traced.
 
     Structural garbage raises MalformedCertificateError.  An uncrossed part
     that leaves a vertex unconnected has no barycentric layout, so it is
     rejected as a precondition failure (ValueError), as the layout itself
     would; any other invalid witness raises ConstructionIntegrityError.
     """
-    cert = SubdrawingCertificate.from_json_dict(data)
     if not connected_spanning(cert.graph.n, cert.uncrossed):
         raise ValueError("the uncrossed edges do not connect the drawing")
     faces = []
@@ -190,25 +189,29 @@ def render_json(data, out) -> None:
     """Dispatch on the JSON shape produced by the CLI subcommands and write
     the drawing to the text stream out.
 
-    Construction records are drawn as stored; every drawing certificate is
-    verified first.  Input that is not an object, a cover that is not a
-    list, and a broken record or certificate raise MalformedCertificateError.
-    Every check and layout is done before the first write.
+    Construction records are drawn as stored; every drawing certificate,
+    a record's too, is verified first.  Input that is not an object, a
+    cover that is not a list, and a broken record or certificate raise
+    MalformedCertificateError.  Every check and layout is done before the
+    first write.
     """
     if not isinstance(data, dict):
         raise MalformedCertificateError(f"expected a JSON object, got {type(data).__name__}")
     if data.get("kind") == "construction":
-        render_record(ConstructionRecord.from_json_dict(data), out)
+        rec = ConstructionRecord.from_json_dict(data)
+        _verified(rec.certificate)
+        render_record(rec, out)
         return
-    certs = []
+    parts = []
     if "witness" in data:
-        certs = [_verified_certificate(data["witness"])]
+        parts = [data["witness"]]
     elif "cover" in data:
         if not isinstance(data["cover"], list):
             raise MalformedCertificateError('"cover" is not a list of certificates')
-        certs = [_verified_certificate(c) for c in data["cover"]]
+        parts = data["cover"]
     elif "uncrossed" in data:
-        certs = [_verified_certificate(data)]
+        parts = [data]
+    certs = [_verified(SubdrawingCertificate.from_json_dict(c)) for c in parts]
     if not certs:
         raise ValueError("input has neither coordinates nor a drawing certificate")
     panels = [

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from uncrossed.cli import main
+from uncrossed.construction import construct
 from uncrossed.graphs import (
     make_complete,
     make_complete_bipartite,
@@ -375,10 +377,23 @@ PATH3_RECORD = dict(
 )
 
 
+# a construct record, as record.json holds it
+CONSTRUCT_RECORD = json.loads(json.dumps(construct(Fraction(3, 10), 20).to_json_dict()))
+
+
+def _chord_on(face):
+    # CONSTRUCT_RECORD with its chord (1, 3) assigned to face; all its chords
+    # are on the outer face, 20
+    cert = CONSTRUCT_RECORD["certificate"]
+    assignment = dict(cert["assignment"], **{"1-3": face})
+    return dict(CONSTRUCT_RECORD, certificate=dict(cert, assignment=assignment))
+
+
 @pytest.mark.parametrize("payload", [
     K2_CERT, PATH3_CERT, ONE_VERTEX_RECORD, PATH3_RECORD,
     # a crossed edge whose ends coincide at the centre still gets an arc
     dict(PATH3_RECORD, coordinates=[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
+    CONSTRUCT_RECORD,
 ])
 def test_render_strict_json_valid_inputs(capsys, tmp_path, payload):
     # the inputs the loose variants below are made from all render
@@ -405,10 +420,15 @@ def test_render_strict_json_valid_inputs(capsys, tmp_path, payload):
     dict(PATH3_RECORD, edges=[[0, 1], [1, 2]], crossed=[]),
     dict(PATH3_RECORD, crossed=[]),
     dict(PATH3_RECORD, n=4, coordinates=PATH3_RECORD["coordinates"] + [[1.0, 1.0]]),
+    # a record's certificate is verified: a chord on a face that does not
+    # hold both its ends, and on a face that does not exist
+    _chord_on(0),
+    _chord_on(10**6),
 ])
 def test_render_loose_json_exit_code(capsys, tmp_path, payload):
     # a bool is not a vertex id, an assignment key is "<digits>-<digits>",
-    # no edge is named twice, and a record agrees with its certificate
+    # no edge is named twice, a record agrees with its certificate and the
+    # certificate verifies
     assert _render_exit(capsys, tmp_path, payload) == 4
     assert not (tmp_path / "x.svg").exists()
 

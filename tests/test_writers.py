@@ -209,6 +209,15 @@ def test_render_record_json_matches_construct_svg(capsys, tmp_path):
     assert main(["render", "--in", str(tmp_path / "record.json"),
                  "--out", str(tmp_path / "again.svg")]) == 0
     assert (tmp_path / "again.svg").read_bytes() == (tmp_path / "drawing.svg").read_bytes()
+    # the chords are the certificate's assignment keys, drawn ascending
+    # whatever the order of "crossed"
+    data = json.loads((tmp_path / "record.json").read_text())
+    random.Random(200).shuffle(data["crossed"])
+    assert data["crossed"] != sorted(data["crossed"])
+    (tmp_path / "shuffled.json").write_text(json.dumps(data))
+    assert main(["render", "--in", str(tmp_path / "shuffled.json"),
+                 "--out", str(tmp_path / "again.svg")]) == 0
+    assert (tmp_path / "again.svg").read_bytes() == (tmp_path / "drawing.svg").read_bytes()
 
 
 def _peak_mb(argv) -> float:
@@ -242,12 +251,13 @@ def test_construct_peak_memory(tmp_path):
 
 
 def test_render_record_peak_memory(capsys, tmp_path):
-    # the parsed JSON is most of it: the record's graph is its certificate's,
-    # so no second copy of the edges is built.  About 112 MB on Linux x86-64
-    # with Python 3.11, against 121 MB with a graph of the record's own
+    # the parsed JSON is most of it: the record's graph and chords are its
+    # certificate's, so no second copy of the edges is built.  About 105 MB
+    # on Linux x86-64 with Python 3.11, against 114 MB with a tuple of each
+    # chord in the record as well
     assert main(["construct", "--epsilon", "3/20", "--n", "1000", "--out", str(tmp_path)]) == 0
     argv = ["render", "--in", str(tmp_path / "record.json"), "--out", str(tmp_path / "x.svg")]
-    assert _peak_mb(argv) < 130
+    assert _peak_mb(argv) < 112
 
 
 @pytest.mark.parametrize("name,graph", [("k5", make_complete(5)),
