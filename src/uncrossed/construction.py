@@ -108,8 +108,11 @@ class ConstructionRecord:
         vertex id and every stats count must be JSON integers, x0 a finite
         number or null, every coordinate a finite number, epsilon a
         fraction string or null and density a fraction string), a record
-        that disagrees with its certificate, and coordinates that do not
-        fit the graph raise MalformedCertificateError."""
+        that disagrees with its certificate, stats whose m, m_prime and
+        density are not |E|, |H| and m / n^2, and coordinates that do not
+        fit the graph raise MalformedCertificateError.  The face count f
+        is left to the caller that traces the faces, and t, a construction
+        identity, to check_tightness."""
         try:
             n = data["n"]
             edges = data["edges"]
@@ -140,6 +143,13 @@ class ConstructionRecord:
                 map(operator.eq, map(tuple, sorted(crossed)), chords)
             ):
                 raise MalformedCertificateError("crossed != assignment keys")
+            density = Fraction(stats["density"])
+            if (stats["m"], stats["m_prime"], density) != (
+                graph.m, len(cert.uncrossed), Fraction(graph.m, graph.n * graph.n)
+            ):
+                raise MalformedCertificateError(
+                    "stats m, m_prime and density must be |E|, |H| and m/n^2"
+                )
             coordinates = tuple((float(x), float(y)) for x, y in data["coordinates"])
             record = ConstructionRecord(
                 epsilon_target=Fraction(epsilon) if epsilon is not None else None,
@@ -154,7 +164,7 @@ class ConstructionRecord:
                     m_prime=stats["m_prime"],
                     t=stats["t"],
                     f=stats["f"],
-                    density=Fraction(stats["density"]),
+                    density=density,
                 ),
             )
         except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:

@@ -15,9 +15,11 @@ The search over rotation systems is exhaustive, with pruning that only
 cuts branches that have no genus-0 completion, and a subset found
 infeasible rules out its whole orbit under the automorphisms of G; it is
 the independent check for the closed-form bounds, so it must not consult
-them.  Each candidate subset is searched once, and a set the walk returns
-keeps that search's hit as its witness: the first rotation system that
-works when the vertices are fixed in ascending (degree, vertex) order.
+them.  Each candidate subset is searched at most once, and a set the walk
+returns keeps that search's hit as its witness: the first rotation system
+that works when the vertices are fixed in ascending (degree, vertex)
+order.  A set returned unsearched, as the image of one found before it,
+is searched for that witness when a cover needs it.
 
 unc(G) is at least ceil(m / h(G)), and exact_unc stops the walk at the
 end of the first size level whose sets hold a cover by that many; it
@@ -25,8 +27,11 @@ walks every level only when none does.  Its cover is the first that the
 cover search meets among the sets walked so far: branch on the lowest
 uncovered edge and try the sets that hold it in walk order.  The search
 reads the sets as one int column per edge, so the last pick is the
-lowest bit of an AND of columns.  On K_6 this takes 99 kernel searches
-where the full walk takes 668.
+lowest bit of an AND of columns.
+
+One RotationKernel serves the walk, and it refutes a set that holds a
+K_5 or a K_{3,3} without a search.  On K_6, exact_unc makes 29 kernel
+calls (7 so refuted, 1 for a cover set's witness); the full walk, 60.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from dataclasses import dataclass
 
 from .embedding import (
     ROTATION_BUDGET_DEFAULT,
+    RotationKernel,
     RotationSystem,
     first_planar_rotation,
     trace_faces,
@@ -275,6 +281,8 @@ def _walk(g: Graph, limits: SearchLimits):
     """Yield (edges, orders, mask) for every inclusion-maximal feasible
     set, largest first and lexicographically within a size; orders are
     the cyclic orders of the kernel's first hit on the set, its witness,
+    or None for an image of a set found earlier in the level, which is not
+    searched (its first hit is what first_planar_rotation finds for it),
     and mask has bit i set for each edge i of g.edges in the set.  After
     the last set of each size level that holds one, yield _LEVEL_END:
     every set yielded so far is final by then.  The first item is a set.
@@ -302,10 +310,14 @@ def _walk(g: Graph, limits: SearchLimits):
     every cofacial pair carry over both ways.  sigma(H) also has the same
     degrees, hence the same rotation count, so the budget check would have
     passed for it too.  The walk's order and its output are those of a
-    walk without the cache.  Each edge's images under the automorphisms
-    are built on the first infeasible candidate only, so planar inputs
-    never pay for them; an orbit is then the bitwise or of its edges'
-    image columns, one per automorphism.
+    walk without the cache.  Feasibility is cached the same way within a
+    level: the images of a set the kernel finds feasible join
+    `found_images` when the next candidate of the level reaches the kernel,
+    not before, as a caller may stop at the set or at the level end, and a
+    candidate among them is yielded with no search.  Each edge's images
+    under the automorphisms are built when an orbit is first needed, so
+    planar inputs never pay for them; an orbit is then the sums of its
+    edges' image bits, one per automorphism.
     """
     if not g.is_connected():
         raise ValueError("oracle search expects a connected graph")
@@ -318,12 +330,27 @@ def _walk(g: Graph, limits: SearchLimits):
     # per vertex, the mask of its edges: a candidate that misses one leaves
     # the vertex bare, so it is not spanning (n = 1 has no edge to miss)
     incident = [sum(bit[e] for e in g.edges if v in e) for v in range(g.n)] if m else []
+    kernel = RotationKernel(g.n, g.edges)
     infeasible: set[int] = set()
     images: dict[Edge, tuple[int, ...]] | None = None
+
+    def orbit(hedges):
+        nonlocal images
+        if images is None:
+            auts = automorphisms(g)
+            images = {
+                (u, v): tuple(bit[(min(p[u], p[v]), max(p[u], p[v]))] for p in auts)
+                for u, v in g.edges
+            }
+        return map(sum, zip(*(images[e] for e in hedges)))
+
     holders = [0] * m
     count = 0  # sets found so far
     for size in range(_size_cap(g), g.n - 2, -1):
         above = count  # sets found at the sizes above
+        # an image has its set's size, so it is met in the set's level only
+        found_images: set[int] = set()
+        unmapped = None  # the last set searched, if its images are not in found_images yet
         level = zip(
             map(sum, itertools.combinations(bits, size)),
             itertools.combinations(holders, size) if above else itertools.repeat(()),
@@ -338,22 +365,22 @@ def _walk(g: Graph, limits: SearchLimits):
             hedges = tuple(e for e, b in zip(g.edges, bits) if mask & b)
             if not connected_spanning(g.n, hedges):
                 continue
-            crossed = tuple(e for e in g.edges if not mask & bit[e])
-            orders = first_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget)
-            if orders is not None:
-                for i in range(m):
-                    if mask >> i & 1:
-                        holders[i] |= 1 << count
-                count += 1
-                yield hedges, orders, mask
-                continue
-            if images is None:
-                auts = automorphisms(g)
-                images = {
-                    (u, v): tuple(bit[(min(p[u], p[v]), max(p[u], p[v]))] for p in auts)
-                    for u, v in g.edges
-                }
-            infeasible.update(map(sum, zip(*(images[e] for e in hedges))))
+            if unmapped is not None:
+                found_images.update(orbit(unmapped))
+                unmapped = None
+            if mask in found_images:
+                orders = None
+            else:
+                orders = kernel.search(mask, limits.max_rotation_budget)
+                if orders is None:
+                    infeasible.update(orbit(hedges))
+                    continue
+                unmapped = hedges
+            for i in range(m):
+                if mask >> i & 1:
+                    holders[i] |= 1 << count
+            count += 1
+            yield hedges, orders, mask
         if count > above:
             yield _LEVEL_END
 
@@ -429,30 +456,37 @@ def exact_unc(
     Every cover needs at least ceil(m / h) sets.  At the end of each size
     level of the walk that holds a maximal set, the sets found so far are
     searched for a cover by that many, and the first one found is the
-    answer, so most graphs never walk the smaller levels: K_6 takes 99
-    kernel searches, not the full walk's 668.  Proving that no cover of
+    answer, so most graphs never walk the smaller levels: K_6 takes 29
+    kernel calls, not the full walk's 60.  Proving that no cover of
     some size exists needs every maximal set, so when no level end gives a
     ceil(m / h)-cover the walk runs out and larger covers are searched
     over the full list.  The cover is the first in `_find_cover`'s order
-    among the sets walked when it is found.
+    among the sets walked when it is found.  A set of the cover that the
+    walk yielded unsearched is searched now, for the witness the walk
+    would have kept.
     """
     full = (1 << g.m) - 1
     sets = []
     masks = []
+
+    def witness(i: int) -> SubdrawingCertificate:
+        hedges, orders = sets[i]
+        return feasible(g, hedges, limits) if orders is None else _witness(g, hedges, orders)
+
     for item in _walk(g, limits):
         if item is not _LEVEL_END:
             sets.append(item[:2])
             masks.append(item[2])
             continue
         if g.m == 0:  # nothing to cover, but one drawing still shows the vertex
-            return 1, [_witness(g, *sets[0])]
+            return 1, [witness(0)]
         lower = -(-g.m // len(sets[0][0]))
         picked = _find_cover(masks, full, lower)
         if picked is not None:
-            return lower, [_witness(g, *sets[i]) for i in picked]
+            return lower, [witness(i) for i in picked]
     # the last level end saw every set, so no cover by `lower` sets exists
     for k in range(lower + 1, len(sets) + 1):
         picked = _find_cover(masks, full, k)
         if picked is not None:
-            return k, [_witness(g, *sets[i]) for i in picked]
+            return k, [witness(i) for i in picked]
     raise AssertionError("unreachable: the union of maximal sets covers E")

@@ -190,7 +190,8 @@ def render_json(data, out) -> None:
     the drawing to the text stream out.
 
     Construction records are drawn as stored; every drawing certificate,
-    a record's too, is verified first.  Input that is not an object, a
+    a record's too, is verified first, and a record's face count must be
+    its certificate's.  Input that is not an object, a
     cover that is not a list, and a broken record or certificate raise
     MalformedCertificateError.  Every check and layout is done before the
     first write.
@@ -199,7 +200,11 @@ def render_json(data, out) -> None:
         raise MalformedCertificateError(f"expected a JSON object, got {type(data).__name__}")
     if data.get("kind") == "construction":
         rec = ConstructionRecord.from_json_dict(data)
-        _verified(rec.certificate)
+        _, faces = _verified(rec.certificate)
+        if rec.stats.f != len(faces):
+            raise MalformedCertificateError(
+                f"stats f = {rec.stats.f}, but the certificate has {len(faces)} faces"
+            )
         render_record(rec, out)
         return
     parts = []

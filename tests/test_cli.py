@@ -374,6 +374,7 @@ ONE_VERTEX_RECORD = {
 PATH3_RECORD = dict(
     ONE_VERTEX_RECORD, n=3, edges=[[0, 1], [0, 2], [1, 2]], crossed=[[0, 2]],
     certificate=PATH3_CERT, coordinates=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    stats={"m": 3, "m_prime": 2, "t": 0, "f": 1, "density": "1/3"},
 )
 
 
@@ -424,11 +425,16 @@ def test_render_strict_json_valid_inputs(capsys, tmp_path, payload):
     # hold both its ends, and on a face that does not exist
     _chord_on(0),
     _chord_on(10**6),
+    # a record's stats are its graph's and its certificate's
+    dict(PATH3_RECORD, stats=dict(PATH3_RECORD["stats"], m=99)),
+    dict(PATH3_RECORD, stats=dict(PATH3_RECORD["stats"], density="5")),
+    dict(PATH3_RECORD, stats=dict(PATH3_RECORD["stats"], m_prime=3)),
+    dict(PATH3_RECORD, stats=dict(PATH3_RECORD["stats"], f=2)),
 ])
 def test_render_loose_json_exit_code(capsys, tmp_path, payload):
     # a bool is not a vertex id, an assignment key is "<digits>-<digits>",
-    # no edge is named twice, a record agrees with its certificate and the
-    # certificate verifies
+    # no edge is named twice, a record agrees with its certificate, the
+    # certificate verifies and the stats count what the record holds
     assert _render_exit(capsys, tmp_path, payload) == 4
     assert not (tmp_path / "x.svg").exists()
 

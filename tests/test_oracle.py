@@ -13,6 +13,7 @@ from uncrossed.bounds import exact_h_complete, exact_h_complete_bipartite, h_upp
 from uncrossed.construction import build_construction
 from uncrossed.graphs import make_random_gnm
 from uncrossed.embedding import (
+    RotationKernel,
     RotationSystem,
     cofacial,
     enumerate_rotation_systems,
@@ -493,26 +494,67 @@ def test_certificate_json_round_trip():
 
 
 def test_orbit_cache_kernel_calls_on_k6(monkeypatch):
-    # K_6 is edge-transitive and more: one kernel search per orbit of
-    # infeasible candidates plus one per feasible set yielded, and none
-    # after the walk, since a returned set keeps its search's hit
+    # K_6 is edge-transitive and more: one kernel call per orbit of
+    # infeasible candidates and per orbit of feasible sets met in a level,
+    # some of them refuted by a K_5 or K_{3,3} with no search; exact_unc
+    # makes one more call, for the witness of a cover set that the walk
+    # yielded as an image, unsearched
     calls = []
-    kernel = oracle.first_planar_rotation
+    search = RotationKernel.search
 
-    def counted(*args):
-        calls.append(args[1])
-        return kernel(*args)
+    def counted(kernel, mask, budget, pairs=()):
+        calls.append(any(k & mask == k for k in kernel.kuratowski))
+        return search(kernel, mask, budget, pairs)
 
-    monkeypatch.setattr(oracle, "first_planar_rotation", counted)
+    monkeypatch.setattr(RotationKernel, "search", counted)
     k6 = make_complete(6)
     assert exact_h(k6)[0] == 10
-    assert len(calls) == 20
+    assert (len(calls), sum(calls)) == (20, 6)
     calls.clear()
     assert exact_unc(k6)[0] == 2
-    assert len(calls) == 99
+    assert (len(calls), sum(calls)) == (29, 7)
     calls.clear()
     assert len(maximal_feasible_sets(k6)) == 612
-    assert len(calls) == 668
+    assert (len(calls), sum(calls)) == (60, 8)
+
+
+def test_budget_checked_before_kuratowski_masks():
+    # the walk's first candidate, K_6 less (3, 4), (3, 5) and (4, 5), holds
+    # the K_{3,3} {0, 1, 2} x {3, 4, 5}, and the budget still refuses it
+    with pytest.raises(SearchBudgetError,
+                       match="^110592 rotation systems exceed the budget of 100000$"):
+        exact_h(make_complete(6), SearchLimits(max_rotation_budget=100_000))
+
+
+def test_kuratowski_masks_fire_on_k5_and_k33():
+    for g in (make_complete(5), make_complete_bipartite(3, 3)):
+        assert RotationKernel(g.n, g.edges).kuratowski == ((1 << g.m) - 1,)
+    assert len(RotationKernel(6, make_complete(6).edges).kuratowski) == 6 + 10
+
+
+def test_kuratowski_refutations_are_nonplanar(monkeypatch):
+    # every walk candidate that holds a K_5 or K_{3,3} mask is non-planar,
+    # on every connected graph with n <= 6 and the 7-vertex ones with 11
+    # edges
+    refuted = []
+    search = RotationKernel.search
+
+    def recorded(kernel, mask, budget, pairs=()):
+        if any(k & mask == k for k in kernel.kuratowski):
+            refuted.append((kernel, mask))
+        return search(kernel, mask, budget, pairs)
+
+    monkeypatch.setattr(RotationKernel, "search", recorded)
+    graphs = small_connected_corpus(6) + _atlas_7(11)
+    checked = 0
+    for g in graphs:
+        refuted.clear()
+        maximal_feasible_sets(g, SearchLimits(max_n=7))
+        for kernel, mask in refuted:
+            hedges = [e for i, e in enumerate(g.edges) if mask >> i & 1]
+            assert not nx.check_planarity(nx.Graph(hedges))[0], (g, hedges)
+            checked += 1
+    assert checked > 0
 
 
 @pytest.mark.slow
@@ -545,12 +587,16 @@ def _reference_walk(g):
 
 def _walk_sets(g, limits=DEFAULT_UNC_LIMITS):
     # the walk's (edges, orders) items without its level ends; each item's
-    # mask has the bits of its edges' indices in g.edges
+    # mask has the bits of its edges' indices in g.edges, and a set yielded
+    # unsearched, as an image, gets the kernel's first hit for it
     sets = []
     for item in oracle._walk(g, limits):
         if item is not oracle._LEVEL_END:
             hedges, orders, mask = item
             assert mask == sum(1 << g.edges.index(e) for e in hedges)
+            if orders is None:
+                crossed = tuple(e for e in g.edges if e not in hedges)
+                orders = first_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget)
             sets.append((hedges, orders))
     return sets
 
