@@ -263,7 +263,10 @@ def cmd_compare_bounds(args) -> int:
 
 
 def cmd_render(args) -> int:
-    data = json.loads(_read_input(args.infile))
+    try:
+        data = json.loads(_read_input(args.infile))
+    except RecursionError:  # arrays or objects nested deeper than the parser's stack
+        raise ValueError("JSON nested too deeply to parse") from None
     with _Output(args.out) as out:
         render_json(data, out)
     return 0

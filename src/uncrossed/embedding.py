@@ -135,28 +135,22 @@ def _check_budget(adj: list[list], budget: int) -> None:
         raise SearchBudgetError(f"{total} rotation systems exceed the budget of {budget}")
 
 
-def _pinned_arrangements(g: Graph, budget: int) -> list[list[tuple[int, ...]]]:
-    """Per vertex, every cyclic order of its neighbors that starts at the
-    smallest one, in lexicographic order.  Pinning the first neighbor
-    quotients out cyclic rotations.  Raises SearchBudgetError when the
-    rotation systems they combine into number more than the budget.
-    """
-    adj = g.adjacency()
-    _check_budget(adj, budget)
-    return [[tuple(a[:1]) + rest for rest in itertools.permutations(a[1:])] for a in adj]
-
-
 def enumerate_rotation_systems(g: Graph, budget: int = ROTATION_BUDGET_DEFAULT):
-    """Yield every rotation system of g exactly once, lexicographically.
+    """Yield every rotation system of g exactly once, lexicographically:
+    per vertex, every cyclic order of its neighbors that starts at the
+    smallest one, which quotients out cyclic rotations.
 
-    This is the brute-force reference for first_planar_rotation, which
+    This is the brute-force reference for RotationKernel.search, which
     visits the same systems with the vertices taken in another order.
     Raises SearchBudgetError when the count prod_v (deg(v)-1)! exceeds the
     budget.
     """
     if not g.is_connected():
         raise ValueError("rotation enumeration expects a connected graph")
-    for combo in itertools.product(*_pinned_arrangements(g, budget)):
+    adj = g.adjacency()
+    _check_budget(adj, budget)
+    arrangements = [[tuple(a[:1]) + rest for rest in itertools.permutations(a[1:])] for a in adj]
+    for combo in itertools.product(*arrangements):
         yield RotationSystem(g, combo)
 
 
@@ -190,11 +184,10 @@ class RotationKernel:
     w, ascending.  H's darts are a sorted subsequence of the host's, so the
     search on H's edge mask meets the same first hit as on H alone."""
 
-    def __init__(self, n: int, edges):
-        g = Graph(n, edges)
+    def __init__(self, g: Graph):
+        n = self.n = g.n
         darts = sorted(d for u, v in g.edges for d in ((u, v), (v, u)))
         idx = {d: i for i, d in enumerate(darts)}
-        self.n = n
         self.heads = [v for _, v in darts]
         self.twins = [idx[v, u] for u, v in darts]
         self.tail_bits = [1 << u for u, _ in darts]
@@ -206,11 +199,10 @@ class RotationKernel:
             self.rows[v].append((1 << i, u, idx[v, u], idx[u, v]))
         self.kuratowski = _kuratowski_masks(n, g.edges)
 
-    def search(self, mask: int, budget: int, pairs=()) -> tuple[tuple[int, ...], ...] | None:
+    def search(self, mask: int, budget: int) -> tuple[tuple[int, ...], ...] | None:
         """Cyclic orders of the first genus-0 rotation system of the
         connected spanning subgraph H = mask that puts both ends of every
-        host edge outside H, and of every given vertex pair, on a common
-        face, or None when there is none.
+        host edge outside H on a common face, or None when there is none.
 
         The budget is checked first, on the systems before pruning.  Then
         an H that holds a K_5 or a K_{3,3} of the host, and so is not planar
@@ -235,7 +227,8 @@ class RotationKernel:
         sum of the open chains' lengths capped at 3.  Linking never raises y,
         and a branch is cut once y // 3 falls below the 2 - n + m faces of a
         genus-0 embedding.  Only branches without a genus-0 completion are
-        cut.  Pairs are checked on the faces of each genus-0 leaf.
+        cut.  The host edges outside H are checked on the faces of each
+        genus-0 leaf.
 
         Reversing every cyclic order (the mirror image) keeps the faces, each
         traversed backwards, so it keeps genus 0 and every co-facial pair.  An
@@ -269,9 +262,8 @@ class RotationKernel:
         # the first vertex of degree >= 3, whose orders are taken with
         # order[1] < order[-1] only
         pin = next((i for i, v in enumerate(fix_order) if len(rows[v]) >= 3), -1)
-        # the host edges outside H, then the given pairs
+        # the host edges outside H
         pair_masks = [p for i, p in enumerate(self.pair_bits) if not mask >> i & 1]
-        pair_masks += [1 << u | 1 << v for u, v in pairs]
         darts = [r[2] for row in rows for r in row]  # H's darts, each out of its tail
         tail_bit = self.tail_bits
         nxt = [0] * nd
@@ -377,14 +369,3 @@ class RotationKernel:
                 s = twins[t]
             orders[v] = tuple(order)
         return tuple(orders)
-
-
-def first_planar_rotation(
-    n: int, edges, cofacial_pairs, budget: int
-) -> tuple[tuple[int, ...], ...] | None:
-    """Cyclic orders of the first genus-0 rotation system of the connected
-    spanning graph (0..n-1, edges) that puts the two vertices of every
-    given pair on a common face, or None when there is none: the search of
-    RotationKernel(n, edges) on all its edges."""
-    kernel = RotationKernel(n, edges)
-    return kernel.search((1 << len(kernel.pair_bits)) - 1, budget, cofacial_pairs)

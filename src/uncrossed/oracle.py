@@ -29,9 +29,10 @@ uncovered edge and try the sets that hold it in walk order.  The search
 reads the sets as one int column per edge, so the last pick is the
 lowest bit of an AND of columns.
 
-One RotationKernel serves the walk, and it refutes a set that holds a
-K_5 or a K_{3,3} without a search.  On K_6, exact_unc makes 29 kernel
-calls (7 so refuted, 1 for a cover set's witness); the full walk, 60.
+The walk and feasible run one search, RotationKernel(G).search on a
+set's edge mask, and it refutes a set that holds a K_5 or a K_{3,3}
+without a search.  On K_6, exact_unc makes 29 kernel calls (7 so
+refuted, 1 for a cover set's witness); the full walk, 60.
 """
 
 from __future__ import annotations
@@ -44,13 +45,7 @@ import re
 import time
 from dataclasses import dataclass
 
-from .embedding import (
-    ROTATION_BUDGET_DEFAULT,
-    RotationKernel,
-    RotationSystem,
-    first_planar_rotation,
-    trace_faces,
-)
+from .embedding import ROTATION_BUDGET_DEFAULT, RotationKernel, RotationSystem, trace_faces
 from .errors import MalformedCertificateError, SearchBudgetError
 from .graphs import SLICE, Edge, Graph, automorphisms, connected_spanning, write_json_pairs
 
@@ -233,11 +228,6 @@ def verify_certificate(cert: SubdrawingCertificate, faces_out: list | None = Non
     return True
 
 
-def _crossed(g: Graph, hedges) -> tuple[Edge, ...]:
-    hset = set(hedges)
-    return tuple(e for e in g.edges if e not in hset)
-
-
 def _witness(
     g: Graph, hedges: tuple[Edge, ...], orders: tuple[tuple[int, ...], ...]
 ) -> SubdrawingCertificate:
@@ -245,8 +235,11 @@ def _witness(
     each crossed edge goes to the first face that holds both endpoints."""
     rotation = RotationSystem(Graph(g.n, hedges), orders)
     faces = trace_faces(rotation)
+    hset = set(hedges)
     assignment = {}
-    for e in _crossed(g, hedges):
+    for e in g.edges:
+        if e in hset:
+            continue
         u, v = e
         for i, face in enumerate(faces):
             if u in face.vertices and v in face.vertices:
@@ -258,15 +251,20 @@ def _witness(
 def feasible(
     g: Graph, subset, limits: SearchLimits = DEFAULT_LIMITS
 ) -> SubdrawingCertificate | None:
-    """Certificate for (V, subset) as an uncrossed edge set, or None."""
+    """Certificate for (V, subset) as an uncrossed edge set, or None: the
+    search the walk runs, on the subset's edge mask.  An edge outside the
+    graph raises ValueError, a subset that is not connected and spanning
+    returns None, and then an edge named twice raises ValueError."""
     if not g.is_connected():
         raise ValueError("feasibility search expects a connected graph")
     hedges = tuple(sorted(subset))
-    if not set(hedges) <= set(g.edges):
+    bit = {e: 1 << i for i, e in enumerate(g.edges)}
+    if not all(e in bit for e in hedges):
         raise ValueError("subset contains an edge not in the graph")
     if not connected_spanning(g.n, hedges):
         return None
-    orders = first_planar_rotation(g.n, hedges, _crossed(g, hedges), limits.max_rotation_budget)
+    Graph(g.n, hedges)  # raises on an edge named twice
+    orders = RotationKernel(g).search(sum(map(bit.get, hedges)), limits.max_rotation_budget)
     return None if orders is None else _witness(g, hedges, orders)
 
 
@@ -282,10 +280,10 @@ def _walk(g: Graph, limits: SearchLimits):
     set, largest first and lexicographically within a size; orders are
     the cyclic orders of the kernel's first hit on the set, its witness,
     or None for an image of a set found earlier in the level, which is not
-    searched (its first hit is what first_planar_rotation finds for it),
-    and mask has bit i set for each edge i of g.edges in the set.  After
-    the last set of each size level that holds one, yield _LEVEL_END:
-    every set yielded so far is final by then.  The first item is a set.
+    searched (feasible runs the same search on it), and mask has bit i set
+    for each edge i of g.edges in the set.  After the last set of each
+    size level that holds one, yield _LEVEL_END: every set yielded so far
+    is final by then.  The first item is a set.
 
     Scanning sizes downward makes maximality checks local: a candidate
     is maximal iff it is feasible and not contained in a set already
@@ -301,23 +299,23 @@ def _walk(g: Graph, limits: SearchLimits):
     columns as they stood when it began; the sets it finds cannot hold
     its other candidates, which have the same size.
 
-    Infeasibility is cached by orbit under Aut(G).  When the kernel rules
-    a candidate H out, the masks of every image sigma(H) join
-    `infeasible`, and later candidates in that set are skipped.  This is
-    sound: sigma maps H onto sigma(H) and the crossed edges E - H onto
-    E - sigma(H), and relabelling a rotation system of H by sigma gives
-    one of sigma(H) whose faces are the relabelled faces, so genus 0 and
-    every cofacial pair carry over both ways.  sigma(H) also has the same
-    degrees, hence the same rotation count, so the budget check would have
-    passed for it too.  The walk's order and its output are those of a
-    walk without the cache.  Feasibility is cached the same way within a
-    level: the images of a set the kernel finds feasible join
-    `found_images` when the next candidate of the level reaches the kernel,
-    not before, as a caller may stop at the set or at the level end, and a
-    candidate among them is yielded with no search.  Each edge's images
-    under the automorphisms are built when an orbit is first needed, so
-    planar inputs never pay for them; an orbit is then the sums of its
-    edges' image bits, one per automorphism.
+    Infeasibility is cached by orbit under Aut(G), within a level, as an
+    image has its set's size.  When the kernel rules a candidate H out, the
+    masks of every image sigma(H) join the level's `infeasible`, and later
+    candidates in that set are skipped.  This is sound: sigma maps H onto
+    sigma(H) and the crossed edges E - H onto E - sigma(H), and
+    relabelling a rotation system of H by sigma gives one of sigma(H)
+    whose faces are the relabelled faces, so genus 0 and every cofacial
+    pair carry over both ways.  sigma(H) also has the same degrees, hence
+    the same rotation count, so the budget check would have passed for it
+    too.  The walk's order and its output are those of a walk without the
+    cache.  Feasibility is cached the same way: the images of a set the
+    kernel finds feasible join `found_images` when the next candidate of
+    the level reaches the kernel, not before, as a caller may stop at the
+    set or at the level end, and a candidate among them is yielded with no
+    search.  Each edge's images under the automorphisms are built when an
+    orbit is first needed, so planar inputs never pay for them; an orbit
+    is then the sums of its edges' image bits, one per automorphism.
     """
     if not g.is_connected():
         raise ValueError("oracle search expects a connected graph")
@@ -330,8 +328,7 @@ def _walk(g: Graph, limits: SearchLimits):
     # per vertex, the mask of its edges: a candidate that misses one leaves
     # the vertex bare, so it is not spanning (n = 1 has no edge to miss)
     incident = [sum(bit[e] for e in g.edges if v in e) for v in range(g.n)] if m else []
-    kernel = RotationKernel(g.n, g.edges)
-    infeasible: set[int] = set()
+    kernel = RotationKernel(g)
     images: dict[Edge, tuple[int, ...]] | None = None
 
     def orbit(hedges):
@@ -348,7 +345,8 @@ def _walk(g: Graph, limits: SearchLimits):
     count = 0  # sets found so far
     for size in range(_size_cap(g), g.n - 2, -1):
         above = count  # sets found at the sizes above
-        # an image has its set's size, so it is met in the set's level only
+        # an image has its set's size, so both caches hold one level
+        infeasible: set[int] = set()
         found_images: set[int] = set()
         unmapped = None  # the last set searched, if its images are not in found_images yet
         level = zip(

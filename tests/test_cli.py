@@ -458,6 +458,23 @@ def test_render_malformed_json_exit_code(capsys, tmp_path, payload):
     assert not (tmp_path / "x.svg").exists()
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 3',
+    "[" * 200_000 + "]" * 200_000,
+    '{"witness": ' + "[" * 200_000 + "]" * 200_000 + "}",
+], ids=["truncated", "nested", "nested-witness"])
+def test_render_unparsable_json_exit_code(capsys, tmp_path, text):
+    # text the JSON parser refuses, cut short or nested past its stack,
+    # exits 2 with one error line and writes no SVG
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    svg = tmp_path / "x.svg"
+    assert main(["render", "--in", str(path), "--out", str(svg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not svg.exists()
+
+
 def test_render_malformed_record_exit_code(capsys, tmp_path):
     main(["construct", "--epsilon", "3/10", "--n", "20", "--out", str(tmp_path)])
     capsys.readouterr()

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from uncrossed.embedding import (
     ROTATION_BUDGET_DEFAULT,
+    RotationKernel,
     RotationSystem,
     cofacial,
     enumerate_rotation_systems,
     face_profile,
-    first_planar_rotation,
     genus,
     rotation_count,
     trace_faces,
@@ -63,6 +63,14 @@ def random_rotation(g, seed):
         rng.shuffle(a)
         orders.append(tuple(a))
     return RotationSystem(g, tuple(orders))
+
+
+def planar_rotation(n, edges, pairs, budget):
+    # the kernel's first hit on H = (0..n-1, edges) that puts both ends of
+    # every pair, a non-edge of H, on a common face: the pairs are the host
+    # edges outside H's mask
+    host = Graph(n, (*edges, *pairs))
+    return RotationKernel(host).search(sum(1 << host.edges.index(e) for e in edges), budget)
 
 
 def test_rotation_validation():
@@ -233,7 +241,7 @@ def test_kernel_planarity_matches_networkx_on_dense_graphs():
             continue
         checked += 1
         nxg = nx.Graph(hedges)
-        orders = first_planar_rotation(6, hedges, (), rotation_count(h))
+        orders = planar_rotation(6, hedges, (), rotation_count(h))
         assert (orders is not None) == nx.check_planarity(nxg)[0], hedges
         if orders is not None:
             planar += 1
@@ -259,8 +267,8 @@ def test_decision_invariant_under_relabelling(n, seed, extra, pairs):
         return tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in es))
 
     budget = rotation_count(g)
-    verdict = first_planar_rotation(n, g.edges, cofacial_pairs, budget) is not None
-    relabelled = first_planar_rotation(n, relabel(g.edges), relabel(cofacial_pairs), budget)
+    verdict = planar_rotation(n, g.edges, cofacial_pairs, budget) is not None
+    relabelled = planar_rotation(n, relabel(g.edges), relabel(cofacial_pairs), budget)
     assert (relabelled is not None) == verdict
 
 
@@ -273,10 +281,10 @@ def test_decision_budget_matches_witness_search(g, budget):
     # the kernel refuses a graph whose unpruned rotation count is over the
     # budget, and says how many systems that is
     with pytest.raises(SearchBudgetError) as refused:
-        first_planar_rotation(g.n, g.edges, (), budget)
+        planar_rotation(g.n, g.edges, (), budget)
     assert str(rotation_count(g)) in str(refused.value)
     if g.n <= 6:  # a budget of exactly rotation_count(g) passes
-        found = first_planar_rotation(g.n, g.edges, (), rotation_count(g))
+        found = planar_rotation(g.n, g.edges, (), rotation_count(g))
         assert (found is not None) == nx.check_planarity(nx.Graph(g.edges))[0]
 
 
@@ -302,7 +310,7 @@ def test_kernel_hit_is_the_smaller_mirror(family, n, seed, extra, pairs):
         return
     non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges]
     cofacial_pairs = rng.sample(non_edges, min(pairs, len(non_edges)))
-    orders = first_planar_rotation(n, g.edges, cofacial_pairs, rotation_count(g))
+    orders = planar_rotation(n, g.edges, cofacial_pairs, rotation_count(g))
     if orders is None:
         return
     for system in (orders, tuple(order[:1] + order[:0:-1] for order in orders)):

@@ -17,7 +17,6 @@ from uncrossed.embedding import (
     RotationSystem,
     cofacial,
     enumerate_rotation_systems,
-    first_planar_rotation,
     genus,
     rotation_count,
     trace_faces,
@@ -271,11 +270,26 @@ def test_feasible_examples():
     assert cert is not None and verify_certificate(cert)
     assert sorted(cert.face_assignment) == [(1, 3), (2, 4)]
 
+    # the budget counts H's rotation systems, not the host's 191,102,976
+    k6 = make_complete(6)
+    h = tuple(e for e in k6.edges if e not in ((3, 4), (3, 5), (4, 5)))
+    with pytest.raises(SearchBudgetError,
+                       match="^110592 rotation systems exceed the budget of 100000$"):
+        feasible(k6, h, SearchLimits(max_rotation_budget=100_000))
+
 
 def test_feasible_rejects_nonspanning():
     k4 = make_complete(4)
     assert feasible(k4, ((0, 1), (1, 2), (0, 2))) is None  # vertex 3 isolated
     assert feasible(k4, ((0, 1), (2, 3))) is None  # disconnected
+    # an edge outside the graph, as written, is refused before anything else
+    for outside in ((0, 4), (1, 0)):
+        with pytest.raises(ValueError, match="^subset contains an edge not in the graph$"):
+            feasible(k4, k4.edges[:2] + (outside,))
+    # an edge named twice is refused, though the rest of the set is infeasible
+    k5 = make_complete(5)
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0,1\)$"):
+        feasible(k5, k5.edges + ((0, 1),))
 
 
 def test_exact_h_small_complete():
@@ -502,9 +516,9 @@ def test_orbit_cache_kernel_calls_on_k6(monkeypatch):
     calls = []
     search = RotationKernel.search
 
-    def counted(kernel, mask, budget, pairs=()):
+    def counted(kernel, mask, budget):
         calls.append(any(k & mask == k for k in kernel.kuratowski))
-        return search(kernel, mask, budget, pairs)
+        return search(kernel, mask, budget)
 
     monkeypatch.setattr(RotationKernel, "search", counted)
     k6 = make_complete(6)
@@ -528,8 +542,8 @@ def test_budget_checked_before_kuratowski_masks():
 
 def test_kuratowski_masks_fire_on_k5_and_k33():
     for g in (make_complete(5), make_complete_bipartite(3, 3)):
-        assert RotationKernel(g.n, g.edges).kuratowski == ((1 << g.m) - 1,)
-    assert len(RotationKernel(6, make_complete(6).edges).kuratowski) == 6 + 10
+        assert RotationKernel(g).kuratowski == ((1 << g.m) - 1,)
+    assert len(RotationKernel(make_complete(6)).kuratowski) == 6 + 10
 
 
 def test_kuratowski_refutations_are_nonplanar(monkeypatch):
@@ -539,10 +553,10 @@ def test_kuratowski_refutations_are_nonplanar(monkeypatch):
     refuted = []
     search = RotationKernel.search
 
-    def recorded(kernel, mask, budget, pairs=()):
+    def recorded(kernel, mask, budget):
         if any(k & mask == k for k in kernel.kuratowski):
             refuted.append((kernel, mask))
-        return search(kernel, mask, budget, pairs)
+        return search(kernel, mask, budget)
 
     monkeypatch.setattr(RotationKernel, "search", recorded)
     graphs = small_connected_corpus(6) + _atlas_7(11)
@@ -572,14 +586,15 @@ def _reference_walk(g):
     # candidate
     found = []
     budget = DEFAULT_UNC_LIMITS.max_rotation_budget
+    kernel = RotationKernel(g)
     for size in range(g.m if g.n < 3 else min(g.m, 3 * g.n - 6), g.n - 2, -1):
         for hedges in itertools.combinations(g.edges, size):
             if any(set(hedges) <= set(f) for f, _ in found):
                 continue
             if not Graph(g.n, hedges).is_connected():
                 continue
-            crossed = tuple(e for e in g.edges if e not in hedges)
-            orders = first_planar_rotation(g.n, hedges, crossed, budget)
+            mask = sum(1 << g.edges.index(e) for e in hedges)
+            orders = kernel.search(mask, budget)
             if orders is not None:
                 found.append((hedges, orders))
     return found
@@ -595,8 +610,7 @@ def _walk_sets(g, limits=DEFAULT_UNC_LIMITS):
             hedges, orders, mask = item
             assert mask == sum(1 << g.edges.index(e) for e in hedges)
             if orders is None:
-                crossed = tuple(e for e in g.edges if e not in hedges)
-                orders = first_planar_rotation(g.n, hedges, crossed, limits.max_rotation_budget)
+                orders = RotationKernel(g).search(mask, limits.max_rotation_budget)
             sets.append((hedges, orders))
     return sets
 
