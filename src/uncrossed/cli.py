@@ -234,6 +234,8 @@ def cmd_compare_bounds(args) -> int:
     for n in ns:
         if n < 3:  # before the K_n row's (n-1)/(2n) divides by 2n
             raise ValueError(f"needs n >= 3, got n={n}")
+    if 2 * max(epsilons, default=0) >= 9:  # dense_ratio divides by 3 - sqrt(2 eps)
+        raise ValueError(f"needs epsilon < 9/2, got epsilon={max(epsilons)}")
     header = (
         "n,epsilon,m,unc_lower_quadratic,unc_lower,best_combined,best_k,"
         "exact_unc_complete,dense_ratio"

@@ -15,24 +15,25 @@ The search over rotation systems is exhaustive, with pruning that only
 cuts branches that have no genus-0 completion, and a subset found
 infeasible rules out its whole orbit under the automorphisms of G; it is
 the independent check for the closed-form bounds, so it must not consult
-them.  Each candidate subset is searched at most once, and a set the walk
-returns keeps that search's hit as its witness: the first rotation system
-that works when the vertices are fixed in ascending (degree, vertex)
-order.  A set returned unsearched, as the image of one found before it,
-is searched for that witness when a cover needs it.
+them.  Each candidate subset is searched at most once, and each set the
+walk returns carries its witness, the first rotation system that works
+when the vertices are fixed in ascending (degree, vertex) order: the hit
+of the walk's search, or for an image of a set found before it, which
+the walk returns unsearched, a search run when a caller asks.
 
 unc(G) is at least ceil(m / h(G)), and exact_unc stops the walk at the
 end of the first size level whose sets hold a cover by that many; it
 walks every level only when none does.  Its cover is the first that the
 cover search meets among the sets walked so far: branch on the lowest
 uncovered edge and try the sets that hold it in walk order.  The search
-reads the sets as one int column per edge, so the last pick is the
-lowest bit of an AND of columns.
+reads the walk's own column index, one int per edge, so the last pick
+is the lowest bit of an AND of columns.
 
-The walk and feasible run one search, RotationKernel(G).search on a
-set's edge mask, and it refutes a set that holds a K_5 or a K_{3,3}
-without a search.  On K_6, exact_unc makes 29 kernel calls (7 so
-refuted, 1 for a cover set's witness); the full walk, 60.
+Each exact_h, exact_unc and maximal_feasible_sets call builds one
+RotationKernel(G) and runs every search on it, on a set's edge mask; it
+refutes a set that holds a K_5 or a K_{3,3} without a search.  feasible
+builds a kernel for each set.  On K_6, exact_unc makes 29 kernel calls
+(7 so refuted, 1 for a cover set's witness); the full walk, 60.
 """
 
 from __future__ import annotations
@@ -264,11 +265,8 @@ def feasible(
     if not connected_spanning(g.n, hedges):
         return None
     Graph(g.n, hedges)  # raises on an edge named twice
-    orders = RotationKernel(g).search(sum(map(bit.get, hedges)), limits.max_rotation_budget)
-    return None if orders is None else _witness(g, hedges, orders)
-
-
-_LEVEL_END = None  # the walk's mark after the last set of a size level
+    hit = RotationKernel(g).search(sum(map(bit.get, hedges)), limits.max_rotation_budget)
+    return None if hit is None else _witness(g, hedges, hit)
 
 
 def _size_cap(g: Graph) -> int:
@@ -276,14 +274,15 @@ def _size_cap(g: Graph) -> int:
 
 
 def _walk(g: Graph, limits: SearchLimits):
-    """Yield (edges, orders, mask) for every inclusion-maximal feasible
-    set, largest first and lexicographically within a size; orders are
-    the cyclic orders of the kernel's first hit on the set, its witness,
-    or None for an image of a set found earlier in the level, which is not
-    searched (feasible runs the same search on it), and mask has bit i set
-    for each edge i of g.edges in the set.  After the last set of each
-    size level that holds one, yield _LEVEL_END: every set yielded so far
-    is final by then.  The first item is a set.
+    """Yield (edges, mask, orders) for every inclusion-maximal feasible
+    set, largest first and lexicographically within a size: mask has bit
+    i set for each edge i of g.edges in the set, and orders() gives the
+    cyclic orders of the kernel's first hit on the set, its witness.  A
+    set the walk searched keeps its hit; an image of a set found earlier
+    in the level is not searched unless orders() is called.  After the
+    last set of each size level that holds one, yield holders, the found
+    sets' column index: every set yielded so far is final by then, and so
+    are the columns until the next set.  The first item is a set.
 
     Scanning sizes downward makes maximality checks local: a candidate
     is maximal iff it is feasible and not contained in a set already
@@ -293,11 +292,11 @@ def _walk(g: Graph, limits: SearchLimits):
 
     Sets are edge masks with bit i for edge i, and a level is every
     combination of its size, in lexicographic order.  Found sets are read
-    by column, as in _find_cover: bit j of holders[i] is set when found
-    set j holds edge i, so a candidate lies inside a found set exactly
-    when the AND of its edges' columns is nonzero.  A level reads the
-    columns as they stood when it began; the sets it finds cannot hold
-    its other candidates, which have the same size.
+    by column: bit j of holders[i] is set when found set j holds edge i,
+    so a candidate lies inside a found set exactly when the AND of its
+    edges' columns is nonzero.  A level reads the columns as they stood
+    when it began; the sets it finds cannot hold its other candidates,
+    which have the same size.
 
     Infeasibility is cached by orbit under Aut(G), within a level, as an
     image has its set's size.  When the kernel rules a candidate H out, the
@@ -367,20 +366,21 @@ def _walk(g: Graph, limits: SearchLimits):
                 found_images.update(orbit(unmapped))
                 unmapped = None
             if mask in found_images:
-                orders = None
+                orders = functools.partial(kernel.search, mask, limits.max_rotation_budget)
             else:
-                orders = kernel.search(mask, limits.max_rotation_budget)
-                if orders is None:
+                hit = kernel.search(mask, limits.max_rotation_budget)
+                if hit is None:
                     infeasible.update(orbit(hedges))
                     continue
+                orders = itertools.repeat(hit).__next__
                 unmapped = hedges
             for i in range(m):
                 if mask >> i & 1:
                     holders[i] |= 1 << count
             count += 1
-            yield hedges, orders, mask
+            yield hedges, mask, orders
         if count > above:
-            yield _LEVEL_END
+            yield holders
 
 
 def exact_h(
@@ -391,33 +391,29 @@ def exact_h(
     The witness is the first set of the size-descending walk, drawn on the
     kernel's first hit for it, so it is deterministic.
     """
-    hedges, orders, _ = next(_walk(g, limits))
-    return len(hedges), _witness(g, hedges, orders)
+    hedges, _, orders = next(_walk(g, limits))
+    return len(hedges), _witness(g, hedges, orders())
 
 
 def maximal_feasible_sets(
     g: Graph, limits: SearchLimits = DEFAULT_UNC_LIMITS
 ) -> tuple[tuple[Edge, ...], ...]:
     """All inclusion-maximal feasible edge sets, largest first."""
-    return tuple(item[0] for item in _walk(g, limits) if item is not _LEVEL_END)
+    return tuple(item[0] for item in _walk(g, limits) if isinstance(item, tuple))
 
 
-def _find_cover(masks: list[int], full: int, k: int) -> list[int] | None:
+def _find_cover(masks: list[int], columns: list[int], full: int, k: int) -> list[int] | None:
     """First cover of `full` by at most k masks, in the order of a
     depth-first search that branches on the lowest uncovered bit and tries
     the masks holding it in index order; None if there is none.
 
-    The masks are read by column: bit i of column j is set when mask i
-    holds bit j, so the masks holding a bit are one int, walked from its
-    lowest set bit up.  At the last pick the masks holding every missing
-    bit are the AND of their columns, and the lowest of them is the one a
-    scan in index order reaches first.
+    columns is the masks' column index: bit i of columns[j] is set when
+    mask i holds bit j, so the masks holding a bit are one int, walked
+    from its lowest set bit up.  At the last pick the masks holding every
+    missing bit are the AND of their columns, and the lowest of them is
+    the one a scan in index order reaches first.
     """
     max_bits = max(mask.bit_count() for mask in masks)
-    columns = [
-        int("".join("1" if mask >> j & 1 else "0" for mask in reversed(masks)), 2)
-        for j in range(full.bit_length())
-    ]
 
     def dfs(covered: int, chosen: list[int]) -> list[int] | None:
         missing = full & ~covered
@@ -451,40 +447,39 @@ def exact_unc(
 ) -> tuple[int, list[SubdrawingCertificate]]:
     """Minimum number of feasible sets covering all edges, with witnesses.
 
-    Every cover needs at least ceil(m / h) sets.  At the end of each size
-    level of the walk that holds a maximal set, the sets found so far are
-    searched for a cover by that many, and the first one found is the
-    answer, so most graphs never walk the smaller levels: K_6 takes 29
-    kernel calls, not the full walk's 60.  Proving that no cover of
-    some size exists needs every maximal set, so when no level end gives a
-    ceil(m / h)-cover the walk runs out and larger covers are searched
-    over the full list.  The cover is the first in `_find_cover`'s order
-    among the sets walked when it is found.  A set of the cover that the
-    walk yielded unsearched is searched now, for the witness the walk
-    would have kept.
+    Every cover needs at least ceil(m / h) sets.  At each level end of the
+    walk, the sets found so far are searched for a cover by that many, on
+    the walk's column index, and the first one found is the answer, so
+    most graphs never walk the smaller levels: K_6 takes 29 kernel calls,
+    not the full walk's 60.  Proving that no cover of some size exists
+    needs every maximal set, so when no level end gives a ceil(m / h)-cover
+    the walk runs out and larger covers are searched over the full list.
+    The cover is the first in `_find_cover`'s order among the sets walked
+    when it is found, each drawn on the witness the walk carries for it.
     """
     full = (1 << g.m) - 1
     sets = []
     masks = []
 
     def witness(i: int) -> SubdrawingCertificate:
-        hedges, orders = sets[i]
-        return feasible(g, hedges, limits) if orders is None else _witness(g, hedges, orders)
+        hedges, _, orders = sets[i]
+        return _witness(g, hedges, orders())
 
     for item in _walk(g, limits):
-        if item is not _LEVEL_END:
-            sets.append(item[:2])
-            masks.append(item[2])
+        if isinstance(item, tuple):
+            sets.append(item)
+            masks.append(item[1])
             continue
+        columns = item
         if g.m == 0:  # nothing to cover, but one drawing still shows the vertex
             return 1, [witness(0)]
         lower = -(-g.m // len(sets[0][0]))
-        picked = _find_cover(masks, full, lower)
+        picked = _find_cover(masks, columns, full, lower)
         if picked is not None:
             return lower, [witness(i) for i in picked]
     # the last level end saw every set, so no cover by `lower` sets exists
     for k in range(lower + 1, len(sets) + 1):
-        picked = _find_cover(masks, full, k)
+        picked = _find_cover(masks, columns, full, k)
         if picked is not None:
             return k, [witness(i) for i in picked]
     raise AssertionError("unreachable: the union of maximal sets covers E")

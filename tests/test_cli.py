@@ -513,6 +513,9 @@ def test_render_record_scalar_types_exit_code(capsys, tmp_path, payload):
     ["verify-tightness", "--epsilons", "1/0"],
     ["compare-bounds", "--epsilons", "1/0"],
     ["compare-bounds", "--ns", "0"],
+    # dense_ratio's 3 - sqrt(2 epsilon) is 0 at 9/2 and negative past it
+    ["compare-bounds", "--ns", "10", "--epsilons", "9/2"],
+    ["compare-bounds", "--ns", "10", "--epsilons", "1/10,5"],
 ])
 def test_zero_denominator_exit_code(capsys, tmp_path, argv):
     if argv[0] == "construct":

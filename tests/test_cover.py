@@ -65,7 +65,10 @@ def _cover_problems(draw):
 @example(problem=([0b1], 0, 0))  # nothing to cover
 def test_find_cover_matches_loop_search(problem):
     masks, full, k = problem
-    assert _find_cover(masks, full, k) == reference_find_cover(masks, full, k)
+    # bit i of column j is set when mask i holds bit j
+    columns = [sum(1 << i for i, mask in enumerate(masks) if mask >> j & 1)
+               for j in range(full.bit_length())]
+    assert _find_cover(masks, columns, full, k) == reference_find_cover(masks, full, k)
 
 
 def reference_exact_unc(g):

@@ -512,15 +512,23 @@ def test_orbit_cache_kernel_calls_on_k6(monkeypatch):
     # infeasible candidates and per orbit of feasible sets met in a level,
     # some of them refuted by a K_5 or K_{3,3} with no search; exact_unc
     # makes one more call, for the witness of a cover set that the walk
-    # yielded as an image, unsearched
+    # yielded as an image, unsearched.  Every call builds one kernel and
+    # runs all its searches on it, K_{3,3}'s unsearched cover set too
     calls = []
+    builds = []
     search = RotationKernel.search
+    init = RotationKernel.__init__
 
     def counted(kernel, mask, budget):
         calls.append(any(k & mask == k for k in kernel.kuratowski))
         return search(kernel, mask, budget)
 
+    def built(kernel, g):
+        builds.append(g)
+        init(kernel, g)
+
     monkeypatch.setattr(RotationKernel, "search", counted)
+    monkeypatch.setattr(RotationKernel, "__init__", built)
     k6 = make_complete(6)
     assert exact_h(k6)[0] == 10
     assert (len(calls), sum(calls)) == (20, 6)
@@ -530,6 +538,13 @@ def test_orbit_cache_kernel_calls_on_k6(monkeypatch):
     calls.clear()
     assert len(maximal_feasible_sets(k6)) == 612
     assert (len(calls), sum(calls)) == (60, 8)
+    assert builds == [k6] * 3
+    k33 = make_complete_bipartite(3, 3)
+    builds.clear()
+    assert exact_h(k33)[0] == 7
+    assert exact_unc(k33)[0] == 2
+    assert len(maximal_feasible_sets(k33)) == 18
+    assert builds == [k33] * 3
 
 
 def test_budget_checked_before_kuratowski_masks():
@@ -601,18 +616,22 @@ def _reference_walk(g):
 
 
 def _walk_sets(g, limits=DEFAULT_UNC_LIMITS):
-    # the walk's (edges, orders) items without its level ends; each item's
-    # mask has the bits of its edges' indices in g.edges, and a set yielded
-    # unsearched, as an image, gets the kernel's first hit for it
+    # the walk's sets as (edges, witness orders), without its level ends,
+    # each witness read once the walk is done; each set's mask has the
+    # bits of its edges' indices in g.edges, and each level end is the
+    # column index of the sets yielded before it
     sets = []
+    masks = []
     for item in oracle._walk(g, limits):
-        if item is not oracle._LEVEL_END:
-            hedges, orders, mask = item
+        if isinstance(item, tuple):
+            hedges, mask, orders = item
             assert mask == sum(1 << g.edges.index(e) for e in hedges)
-            if orders is None:
-                orders = RotationKernel(g).search(mask, limits.max_rotation_budget)
             sets.append((hedges, orders))
-    return sets
+            masks.append(mask)
+        else:
+            assert item == [sum(1 << j for j, mask in enumerate(masks) if mask >> i & 1)
+                            for i in range(g.m)]
+    return [(hedges, orders()) for hedges, orders in sets]
 
 
 @pytest.mark.slow
