@@ -47,8 +47,9 @@ class ConstructionRecord:
 
     @property
     def crossed_edges(self) -> tuple[Edge, ...]:
-        """The chords, the certificate's assignment keys, ascending."""
-        return tuple(sorted(self.certificate.face_assignment))
+        """The chords, the certificate's assignment keys, in its ascending
+        order."""
+        return tuple(self.certificate.face_assignment)
 
     def to_json_dict(self) -> dict:
         """The record's JSON object."""
@@ -137,7 +138,7 @@ class ConstructionRecord:
             # pair by pair, so no tuple of the record's edges is built
             if len(edges) != graph.m or not all(map(operator.eq, map(tuple, edges), graph.edges)):
                 raise MalformedCertificateError("edges must be the certificate's edges, ascending")
-            chords = sorted(cert.face_assignment)
+            chords = cert.face_assignment  # ascending
             # sorted as lists and compared pair by pair, so no tuple of crossed is built
             if len(crossed) != len(chords) or not all(
                 map(operator.eq, map(tuple, sorted(crossed)), chords)

@@ -9,6 +9,7 @@ Embeddings are spherical; no face is distinguished as the outer one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -154,27 +155,121 @@ def enumerate_rotation_systems(g: Graph, budget: int = ROTATION_BUDGET_DEFAULT):
         yield RotationSystem(g, combo)
 
 
-def _kuratowski_masks(n: int, edges: tuple[Edge, ...]) -> tuple[int, ...]:
-    """The edge mask, bit i for edges[i], of every K_5 and K_{3,3} subgraph
-    of (0..n-1, edges); a K_{3,3} is met from the side with its least vertex."""
+def _bits(x: int) -> list[int]:
+    """The positions of x's set bits, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _kuratowski_subdivisions(n: int, edges: tuple[Edge, ...]) -> tuple[int, ...]:
+    """The edge mask, bit i for edges[i], of every subgraph of
+    (0..n-1, edges) that is a subdivision of K_5 or K_{3,3}: branch
+    vertices, five of degree >= 4 or six of degree >= 3 split three and
+    three, joined pair by pair (K_{3,3}: across the split) by internally
+    disjoint paths whose inner vertices are none of them.  A subdivision's
+    branch vertices, split and paths are read off its edge set, so each
+    mask is met once: a K_{3,3} from the side with its least vertex.  A
+    subdivision has at least 9 edges."""
+    if len(edges) < 9:
+        return ()
     near = [0] * n
-    for u, v in edges:
+    bit = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
         near[u] |= 1 << v
         near[v] |= 1 << u
-    bit = {e: 1 << i for i, e in enumerate(edges)}
+        bit[u][v] = bit[v][u] = 1 << i
+    every = (1 << n) - 1
     masks = []
+
+    def routes(a: int, b: int, free: int) -> list[tuple[int, int]]:
+        # (inner vertices, edges) of every a-b path with at least one inner
+        # vertex, all of them in free
+        found = [(1 << x, bit[a][x] | bit[x][b]) for x in _bits(near[a] & near[b] & free)]
+        if free & (free - 1):  # two free vertices or more: longer paths
+            stack = [(x, 1 << x, bit[a][x]) for x in _bits(near[a] & free)]
+            while stack:
+                c, inner, path = stack.pop()
+                for x in _bits(near[c] & free & ~inner):
+                    inner_x = inner | 1 << x
+                    path_x = path | bit[c][x]
+                    if near[x] >> b & 1:
+                        found.append((inner_x, path_x | bit[x][b]))
+                    stack.append((x, inner_x, path_x))
+        return found
+
+    def join(pairs: list[Edge], free: int, paths: dict[Edge, list[tuple[int, int]]]) -> None:
+        # every way to join each pair, by its edge or by a path through
+        # free, with no inner vertex shared: first the pairs without an
+        # edge each take a path, then any set of the others takes one, in
+        # ascending option order
+        direct = [bit[a][b] for a, b in pairs]
+        if not free:
+            masks.append(sum(direct))  # the caller saw every pair's edge
+            return
+        starts = [(0, sum(direct))]  # (inner vertices used, mask)
+        options = []
+        for p, d in zip(pairs, direct):
+            if p not in paths:
+                paths[p] = routes(*p, free)
+            if d:
+                options += [(d, inner, path) for inner, path in paths[p]]
+            else:
+                starts = [
+                    (used | inner, mask | path)
+                    for used, mask in starts
+                    for inner, path in paths[p]
+                    if not used & inner
+                ]
+                if not starts:
+                    return
+        stack = [(0, used, mask) for used, mask in starts]
+        while stack:
+            j, used, mask = stack.pop()
+            masks.append(mask)
+            for i in range(j, len(options)):
+                d, inner, path = options[i]
+                # a pair's edge leaves the mask once the pair takes a path
+                if not inner & used and mask & d:
+                    stack.append((i + 1, used | inner, mask ^ d | path))
+
+    vertex_bits = [1 << v for v in range(n)]
     for five in itertools.combinations([v for v in range(n) if near[v].bit_count() >= 4], 5):
-        s = sum(1 << v for v in five)
-        if all((near[v] | 1 << v) & s == s for v in five):
-            masks.append(sum(bit[e] for e in itertools.combinations(five, 2)))
+        s = sum(map(vertex_bits.__getitem__, five))
+        free = every & ~s
+        # each pair of five without an edge needs a free vertex of its own;
+        # the sum counts each such pair twice, and each v of five once
+        if sum([(s & ~near[v]).bit_count() for v in five]) - 5 <= 2 * free.bit_count():
+            join(list(itertools.combinations(five, 2)), free, {})
     for six in itertools.combinations([v for v in range(n) if near[v].bit_count() >= 3], 6):
-        for pair in itertools.combinations(six[1:], 2):
-            side = (six[0], *pair)
-            other = [v for v in six if v not in side]
-            s = sum(1 << v for v in other)
-            if all(near[v] & s == s for v in side):
-                masks.append(sum(bit[min(a, b), max(a, b)] for a in side for b in other))
+        s = sum(map(vertex_bits.__getitem__, six))
+        free = every & ~s
+        room = free.bit_count()
+        paths = {}  # shared by the splits of six
+        x = six[0]
+        for a, b in itertools.combinations(six[1:], 2):
+            t = s & ~(vertex_bits[x] | vertex_bits[a] | vertex_bits[b])  # the other side
+            need = (t & ~near[x]).bit_count() + (t & ~near[a]).bit_count()
+            if need + (t & ~near[b]).bit_count() <= room:
+                other = _bits(t)
+                join([(u, v) if u < v else (v, u) for u in (x, a, b) for v in other], free, paths)
     return tuple(masks)
+
+
+def _columns(masks, m: int) -> list[int]:
+    """The column index of masks over bits 0..m-1: bit j of the i-th
+    column is bit i of masks[j].  The masks are written one after another
+    as m binary digits each, last mask first, and column i is read back
+    from every m-th digit, so the transpose runs in C."""
+    if not masks:
+        return [0] * m
+    fmt = f"0{m}b"
+    digits = "".join([format(k, fmt) for k in reversed(masks)])
+    # each mask's first digit is its bit m - 1
+    return [int(digits[m - 1 - i::m], 2) for i in range(m)]
 
 
 class RotationKernel:
@@ -182,7 +277,10 @@ class RotationKernel:
     with the host's tables built once: its sorted darts, and per vertex v
     one row of (edge bit, w, dart out (v, w), dart in (w, v)) per neighbor
     w, ascending.  H's darts are a sorted subsequence of the host's, so the
-    search on H's edge mask meets the same first hit as on H alone."""
+    search on H's edge mask meets the same first hit as on H alone.  The
+    host's Kuratowski subdivisions are listed once too, as edge masks, and
+    held by column: one int per host edge, with bit j set when subdivision
+    j holds the edge."""
 
     def __init__(self, g: Graph):
         n = self.n = g.n
@@ -194,23 +292,54 @@ class RotationKernel:
         self.pair_bits = [1 << u | 1 << v for u, v in g.edges]
         # g.edges is sorted, so each row lists its neighbors ascending
         self.rows = [[] for _ in range(n)]
+        # per vertex, the mask of its edges
+        self.vertex_edges = [0] * n
         for i, (u, v) in enumerate(g.edges):
             self.rows[u].append((1 << i, v, idx[u, v], idx[v, u]))
             self.rows[v].append((1 << i, u, idx[v, u], idx[u, v]))
-        self.kuratowski = _kuratowski_masks(n, g.edges)
+            self.vertex_edges[u] |= 1 << i
+            self.vertex_edges[v] |= 1 << i
+        # per degree d, the (d - 1)! cyclic orders of d neighbors with the
+        # first one pinned
+        self.orders_by_degree = [1] + [math.factorial(d) for d in range(n - 1)]
+        self.edges = g.edges
+        self.all_edges = (1 << g.m) - 1
+
+    @functools.cached_property
+    def kuratowski(self) -> tuple[int, ...]:
+        """The edge mask of every subdivision of K_5 or K_{3,3} in the host,
+        listed at its first use: a host whose every search the budget
+        refuses never needs them, and K_9 holds 3,997,686."""
+        return _kuratowski_subdivisions(self.n, self.edges)
+
+    @functools.cached_property
+    def kuratowski_columns(self) -> tuple[int, list[int]]:
+        """(every, columns): every has one bit per mask of kuratowski, and
+        bit j of columns[i] is set when mask j holds host edge i."""
+        return (1 << len(self.kuratowski)) - 1, _columns(self.kuratowski, len(self.edges))
 
     def search(self, mask: int, budget: int) -> tuple[tuple[int, ...], ...] | None:
         """Cyclic orders of the first genus-0 rotation system of the
         connected spanning subgraph H = mask that puts both ends of every
         host edge outside H on a common face, or None when there is none.
 
-        The budget is checked first, on the systems before pruning.  Then
-        an H that holds a K_5 or a K_{3,3} of the host, and so is not planar
-        (Kuratowski), returns None with no search.  The search is a
-        depth-first walk that fixes the vertices in ascending (degree,
-        vertex) order, each through its arrangements in lexicographic
-        order, and the answer is the first hit in that order; low degrees
-        first set the links that let the cut bite while the walk is narrow.
+        The budget is checked first, on the systems before pruning, from
+        H's degrees.  Then H returns None with no search when it holds all
+        but at most one edge e of a subdivision S of K_5 or K_{3,3} in the
+        host.  Either S lies in H, and H is not planar (Kuratowski, Fund.
+        Math. 15, 1930), or e is crossed, and H + e is not planar; but a
+        crossed edge's ends share a face of some plane embedding of H
+        exactly when H + e is planar (Gutwenger, Mutzel and Weiskircher,
+        Inserting an edge into a planar graph, Algorithmica 41, 2005).  One
+        pass over the edges outside H finds such an S: `ones` marks the
+        subdivisions that hold at least one of them, `twos` those that hold
+        two or more, and a subdivision outside `twos` refutes H.
+
+        The search is a depth-first walk that fixes the vertices in
+        ascending (degree, vertex) order, each through its arrangements in
+        lexicographic order, and the answer is the first hit in that order;
+        low degrees first set the links that let the cut bite while the walk
+        is narrow.
 
         A vertex's cyclic order starts at its smallest neighbor and is built
         one neighbor at a time, the next one taken from those left in
@@ -240,10 +369,21 @@ class RotationKernel:
         was.
         """
         n = self.n
+        total = 1
+        orders_by_degree = self.orders_by_degree
+        for edges_at in self.vertex_edges:
+            total *= orders_by_degree[(mask & edges_at).bit_count()]
+        if total > budget:
+            raise SearchBudgetError(f"{total} rotation systems exceed the budget of {budget}")
+        every, columns = self.kuratowski_columns
+        if every:
+            ones = twos = 0
+            for i in _bits(self.all_edges & ~mask):
+                twos |= ones & columns[i]
+                ones |= columns[i]
+            if every & ~twos:
+                return None
         rows = [[r for r in row if mask & r[0]] for row in self.rows]
-        _check_budget(rows, budget)
-        if any(k & mask == k for k in self.kuratowski):
-            return None
         # a vertex without neighbors sets no link
         fix_order = sorted((v for v in range(n) if rows[v]), key=lambda v: (len(rows[v]), v))
         m = mask.bit_count()

@@ -31,9 +31,15 @@ is the lowest bit of an AND of columns.
 
 Each exact_h, exact_unc and maximal_feasible_sets call builds one
 RotationKernel(G) and runs every search on it, on a set's edge mask; it
-refutes a set that holds a K_5 or a K_{3,3} without a search.  feasible
-builds a kernel for each set.  On K_6, exact_unc makes 29 kernel calls
-(7 so refuted, 1 for a cover set's witness); the full walk, 60.
+refutes without a search a set that holds all but at most one edge of a
+subdivision of K_5 or K_{3,3} in G.  Such a set is not planar
+(Kuratowski, Fund. Math. 15, 1930), or the one edge is crossed and the
+set plus that edge is not planar, so its ends share no face of any plane
+embedding of the set (Gutwenger, Mutzel and Weiskircher, Inserting an
+edge into a planar graph, Algorithmica 41, 2005).  feasible builds a
+kernel for each set.  On K_6, exact_unc makes 29 kernel calls (21 so
+refuted, 1 for a cover set's witness); the full walk, 60 (25 so
+refuted).
 """
 
 from __future__ import annotations
@@ -79,7 +85,9 @@ def all_json_ints(*rows) -> bool:
 class SubdrawingCertificate:
     """Machine-checkable witness that h(graph) >= len(uncrossed): a
     rotation system of the uncrossed edges H and a face of it for every
-    other edge of the graph."""
+    other edge of the graph.  The face assignment is held in ascending
+    edge order, as every maker here fills it, and its readers take that
+    order as it stands."""
 
     graph: Graph
     rotation: RotationSystem
@@ -92,13 +100,12 @@ class SubdrawingCertificate:
 
     def to_json_dict(self) -> dict:
         """The certificate's JSON object.  Its "assignment" maps "<u>-<v>"
-        keys, in ascending edge order, to face indices."""
-        assignment = self.face_assignment
+        keys, in the assignment's order, to face indices."""
         return {
             "n": self.graph.n,
             "uncrossed": self.uncrossed,
             "rotation": self.rotation.order,
-            "assignment": {f"{u}-{v}": assignment[u, v] for u, v in sorted(assignment)},
+            "assignment": {f"{u}-{v}": face for (u, v), face in self.face_assignment.items()},
         }
 
     def write_json(self, out, nl: str) -> None:
@@ -118,7 +125,7 @@ class SubdrawingCertificate:
             return
         lefts = [f'"{u}-' for u in range(n)]
         rights = [f'{v}": ' for v in range(n)]
-        keys = sorted(assignment)
+        keys = list(assignment)
         sep = "," + inner + "  "
         lead = "{" + inner + "  "
         for i in range(0, len(keys), SLICE):
@@ -139,7 +146,8 @@ class SubdrawingCertificate:
         digits "<u>-<v>"; the keys are read once, key by key, and then
         Graph checks the host's edges, so a key that names an uncrossed
         edge is Graph's duplicate edge.  Anything else raises
-        MalformedCertificateError."""
+        MalformedCertificateError.  An assignment whose keys are out of
+        ascending edge order is sorted, once."""
         try:
             n = data["n"]
             pairs = [tuple(e) for e in data["uncrossed"]]
@@ -149,6 +157,8 @@ class SubdrawingCertificate:
             uncrossed = tuple((min(u, v), max(u, v)) for u, v in pairs)
             assignment = _edge_keyed(data["assignment"])
             graph = Graph(n, (*uncrossed, *assignment))
+            if any(map(operator.gt, assignment, itertools.islice(assignment, 1, None))):
+                assignment = dict(sorted(assignment.items()))
             rotation = RotationSystem(Graph(n, uncrossed), orders)
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise MalformedCertificateError(f"bad certificate JSON: {exc}") from exc

@@ -165,7 +165,7 @@ def render_certificate(cert: SubdrawingCertificate, faces, offset: float = 0.0):
             lines.append(f"{heads[u]}{cx:.4f} {cy:.4f} {tails[v]}")
         return lines
 
-    return _drawing_lines(coords, cert.uncrossed, sorted(cert.face_assignment), arcs)
+    return _drawing_lines(coords, cert.uncrossed, tuple(cert.face_assignment), arcs)
 
 
 def _verified(cert: SubdrawingCertificate):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -185,7 +187,7 @@ EDGE_KEYS = st.builds("{}-{}".format, st.integers(0, 9), st.integers(0, 9)) | st
 def test_certificate_parser_matches_key_by_key_reading(assignment):
     # the parser reads the keys once, key by key, and raises that reading's
     # message at its first fault; Graph then finds a key that names an
-    # uncrossed edge
+    # uncrossed edge.  The assignment is held in ascending edge order
     data = {"n": 10, "uncrossed": [[0, 1], [1, 2]], "rotation": [[1], [0, 2], [1]] + [[]] * 7,
             "assignment": assignment}
     expected = _loop_parse(data)
@@ -201,7 +203,7 @@ def test_certificate_parser_matches_key_by_key_reading(assignment):
         return
     keyed, named = expected
     cert = SubdrawingCertificate.from_json_dict(data)
-    assert list(cert.face_assignment.items()) == list(keyed.items())
+    assert list(cert.face_assignment.items()) == sorted(keyed.items())
     assert cert.graph.edges == tuple(sorted(named))
 
 
@@ -507,20 +509,27 @@ def test_certificate_json_round_trip():
     assert verify_certificate(back)
 
 
+def _refuted_unsearched(kernel, mask):
+    # the kernel's rule: some Kuratowski subdivision of the host has at
+    # most one edge outside H
+    return any((k & ~mask).bit_count() <= 1 for k in kernel.kuratowski)
+
+
 def test_orbit_cache_kernel_calls_on_k6(monkeypatch):
     # K_6 is edge-transitive and more: one kernel call per orbit of
     # infeasible candidates and per orbit of feasible sets met in a level,
-    # some of them refuted by a K_5 or K_{3,3} with no search; exact_unc
-    # makes one more call, for the witness of a cover set that the walk
-    # yielded as an image, unsearched.  Every call builds one kernel and
-    # runs all its searches on it, K_{3,3}'s unsearched cover set too
+    # most of them refuted by a K_5 or K_{3,3} subdivision with at most one
+    # edge outside the candidate, with no search; exact_unc makes one more
+    # call, for the witness of a cover set that the walk yielded as an
+    # image, unsearched.  Every call builds one kernel and runs all its
+    # searches on it, K_{3,3}'s unsearched cover set too
     calls = []
     builds = []
     search = RotationKernel.search
     init = RotationKernel.__init__
 
     def counted(kernel, mask, budget):
-        calls.append(any(k & mask == k for k in kernel.kuratowski))
+        calls.append(_refuted_unsearched(kernel, mask))
         return search(kernel, mask, budget)
 
     def built(kernel, g):
@@ -531,13 +540,13 @@ def test_orbit_cache_kernel_calls_on_k6(monkeypatch):
     monkeypatch.setattr(RotationKernel, "__init__", built)
     k6 = make_complete(6)
     assert exact_h(k6)[0] == 10
-    assert (len(calls), sum(calls)) == (20, 6)
+    assert (len(calls), sum(calls)) == (20, 15)
     calls.clear()
     assert exact_unc(k6)[0] == 2
-    assert (len(calls), sum(calls)) == (29, 7)
+    assert (len(calls), sum(calls)) == (29, 21)
     calls.clear()
     assert len(maximal_feasible_sets(k6)) == 612
-    assert (len(calls), sum(calls)) == (60, 8)
+    assert (len(calls), sum(calls)) == (60, 25)
     assert builds == [k6] * 3
     k33 = make_complete_bipartite(3, 3)
     builds.clear()
@@ -555,35 +564,132 @@ def test_budget_checked_before_kuratowski_masks():
         exact_h(make_complete(6), SearchLimits(max_rotation_budget=100_000))
 
 
+def test_budget_refusal_lists_no_subdivisions(monkeypatch):
+    # K_9 holds about 4 million subdivisions; its walk's first candidate is
+    # refused by the budget, so the kernel never lists them
+    from uncrossed import embedding
+
+    def unlisted(n, edges):
+        raise AssertionError("subdivisions listed before a search needed them")
+
+    monkeypatch.setattr(embedding, "_kuratowski_subdivisions", unlisted)
+    with pytest.raises(SearchBudgetError, match="^8193540096000 rotation systems exceed"):
+        exact_h(make_complete(9), SearchLimits(max_n=9))
+
+
 def test_kuratowski_masks_fire_on_k5_and_k33():
     for g in (make_complete(5), make_complete_bipartite(3, 3)):
         assert RotationKernel(g).kuratowski == ((1 << g.m) - 1,)
-    assert len(RotationKernel(make_complete(6)).kuratowski) == 6 + 10
+    # K_6: 6 K_5, 60 K_5 with one edge subdivided by the sixth vertex, and
+    # 10 K_{3,3}; K_{4,4}: 16 K_{3,3}, and 144 that reroute one edge (a, b)
+    # as a - b' - a' - b through the vertices a' and b' left out
+    assert len(RotationKernel(make_complete(6)).kuratowski) == 6 + 60 + 10
+    assert len(RotationKernel(make_complete_bipartite(4, 4)).kuratowski) == 16 + 144
+    # with paths of two and three inner vertices
+    assert len(RotationKernel(make_complete(7)).kuratowski) == 3_451
+    assert len(RotationKernel(make_complete(8)).kuratowski) == 124_656
 
 
-def test_kuratowski_refutations_are_nonplanar(monkeypatch):
-    # every walk candidate that holds a K_5 or K_{3,3} mask is non-planar,
-    # on every connected graph with n <= 6 and the 7-vertex ones with 11
-    # edges
-    refuted = []
+def _kuratowski_corpus():
+    # every connected graph with n <= 6 and the 7-vertex ones with 11 edges
+    return small_connected_corpus(6) + _atlas_7(11)
+
+
+def _planar(edges) -> bool:
+    return nx.check_planarity(nx.Graph(list(edges)))[0]
+
+
+def test_kuratowski_masks_are_minimal_nonplanar():
+    # each mask is a minimal non-planar graph: not planar, and planar once
+    # any one of its edges is deleted; and no mask is met twice.  The
+    # 8-vertex graph holds subdivisions with paths of up to three inner
+    # vertices
+    checked = 0
+    for g in _kuratowski_corpus() + [make_complete_bipartite(4, 4), make_random_gnm(8, 19, 3)]:
+        masks = RotationKernel(g).kuratowski
+        assert len(set(masks)) == len(masks), g
+        for k in masks:
+            edges = [e for i, e in enumerate(g.edges) if k >> i & 1]
+            assert not _planar(edges), (g, edges)
+            assert all(_planar(edges[:i] + edges[i + 1:]) for i in range(len(edges))), (g, edges)
+            checked += 1
+    assert checked > 0
+
+
+@pytest.fixture(scope="module")
+def walk_candidates():
+    # every candidate the walk hands the kernel, with the kernel's verdict
+    # of whether it is refuted without a search, on the Kuratowski corpus
+    seen = []
     search = RotationKernel.search
 
     def recorded(kernel, mask, budget):
-        if any(k & mask == k for k in kernel.kuratowski):
-            refuted.append((kernel, mask))
+        seen.append((g, kernel, mask))
         return search(kernel, mask, budget)
 
-    monkeypatch.setattr(RotationKernel, "search", recorded)
-    graphs = small_connected_corpus(6) + _atlas_7(11)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RotationKernel, "search", recorded)
+        for g in _kuratowski_corpus():
+            maximal_feasible_sets(g, SearchLimits(max_n=7))
+    return seen
+
+
+def test_kuratowski_refutations_are_nonplanar(walk_candidates):
+    # every walk candidate H refuted without a search holds all but at
+    # most one edge e of a K_5 or K_{3,3} subdivision: then H is not
+    # planar, or e is crossed and H + e is not planar, so e's ends share
+    # no face of any plane embedding of H
     checked = 0
-    for g in graphs:
-        refuted.clear()
-        maximal_feasible_sets(g, SearchLimits(max_n=7))
-        for kernel, mask in refuted:
-            hedges = [e for i, e in enumerate(g.edges) if mask >> i & 1]
-            assert not nx.check_planarity(nx.Graph(hedges))[0], (g, hedges)
-            checked += 1
+    for g, kernel, mask in walk_candidates:
+        if not _refuted_unsearched(kernel, mask):
+            continue
+        k = next(k for k in kernel.kuratowski if (k & ~mask).bit_count() <= 1)
+        hedges = [e for i, e in enumerate(g.edges) if mask >> i & 1]
+        outside = [e for i, e in enumerate(g.edges) if (k & ~mask) >> i & 1]
+        assert not _planar(hedges + outside), (g, hedges, outside)
+        checked += 1
     assert checked > 0
+
+
+def test_searched_candidates_are_planar_with_each_crossed_edge(walk_candidates):
+    # the masks miss no obstruction: every candidate that reaches the
+    # search has H planar and H + e planar for every crossed edge e
+    checked = 0
+    for g, kernel, mask in walk_candidates:
+        if _refuted_unsearched(kernel, mask):
+            continue
+        hedges = [e for i, e in enumerate(g.edges) if mask >> i & 1]
+        assert _planar(hedges), (g, hedges)
+        for i, e in enumerate(g.edges):
+            if not mask >> i & 1:
+                assert _planar(hedges + [e]), (g, hedges, e)
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("m, seed, h, calls, sha", [
+    (20, 0, 15, 10_580, "f9d9b715c4843d1f746e1de66423ad362385f8ded474b97a6d0662802daea294"),
+    (19, 3, 14, 4_425, "21cddfef6f876a24164c4b4f906c4b3f73638b6911883caff7c541ee5f4c7039"),
+])
+def test_exact_h_dense_n8(monkeypatch, m, seed, h, calls, sha):
+    # two dense 8-vertex graphs at a raised budget, in well under a second
+    # each: h, the witness (by the sha256 of its JSON) and the kernel calls
+    # are pinned, as the subdivision masks decide only which refutations
+    # skip the search
+    made = []
+    search = RotationKernel.search
+
+    def counted(kernel, mask, budget):
+        made.append(mask)
+        return search(kernel, mask, budget)
+
+    monkeypatch.setattr(RotationKernel, "search", counted)
+    value, witness = exact_h(make_random_gnm(8, m, seed),
+                             SearchLimits(max_n=8, max_rotation_budget=10**15))
+    text = json.dumps(witness.to_json_dict(), indent=2)
+    assert (value, len(made)) == (h, calls)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+    assert verify_certificate(witness)
 
 
 @pytest.mark.slow

@@ -1,6 +1,8 @@
 import dataclasses
 import io
+import json
 import math
+import random
 import subprocess
 import sys
 
@@ -85,6 +87,21 @@ def test_render_record_matches_item_by_item_reference():
     # and on the unit-circle layout of a larger record, across SLICE lines
     big = build_construction(100, 120)
     assert _svg(render_record, big) == _reference_record_svg(big)
+
+
+def test_render_shuffled_record_draws_ascending():
+    # a record whose "crossed" and certificate assignment come in any order
+    # draws its chords in ascending edge order all the same: the
+    # certificate's reader sorts the assignment once, and the drawing
+    # takes its order as it stands
+    rec = build_construction(14, 20)
+    data = json.loads(json.dumps(rec.to_json_dict()))
+    rng = random.Random(5)
+    rng.shuffle(data["crossed"])
+    pairs = list(data["certificate"]["assignment"].items())
+    rng.shuffle(pairs)
+    data["certificate"]["assignment"] = dict(pairs)
+    assert _svg(render_json, data) == _svg(render_record, rec)
 
 
 def test_render_cover_panels():
