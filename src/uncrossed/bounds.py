@@ -11,12 +11,11 @@ until both ends have the same ceiling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .errors import ConstructionIntegrityError, NotApplicableError
 from .graphs import Graph, complete_bipartite_parts, is_complete, is_triangle_free
+from .records import Record
 
 
 def _root_sum_bracket(a: int, plus: int, minus: int, bits: int) -> tuple[int, int]:
@@ -120,20 +119,20 @@ def unc_from_h(m: int, h: int | Fraction) -> int:
     return math.ceil(m / Fraction(h))
 
 
-@dataclass(frozen=True)
-class FaceCounts:
+class FaceCounts(Record):
     """Truncated face-length counts s_3..s_{k-1} used by the face bounds."""
 
-    k: int
-    s: tuple[int, ...] = ()  # s[i] is the count of faces of length 3+i
+    __slots__ = ("k", "s")
 
-    def __post_init__(self):
-        if self.k < 3:
+    def __init__(self, k: int, s: tuple[int, ...] = ()):  # s[i] counts faces of length 3+i
+        if k < 3:
             raise ValueError("k must be >= 3")
-        if len(self.s) != self.k - 3:
-            raise ValueError(f"need s_3..s_{self.k - 1}, got {len(self.s)} values")
-        if any(c < 0 for c in self.s):
+        if len(s) != k - 3:
+            raise ValueError(f"need s_3..s_{k - 1}, got {len(s)} values")
+        if any(c < 0 for c in s):
             raise ValueError("face counts must be nonnegative")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "s", s)
 
     @staticmethod
     def from_profile(k: int, s_by_length: dict[int, int]) -> "FaceCounts":
@@ -150,12 +149,14 @@ def simple_bound(n: int, fc: FaceCounts) -> float:
     return k / (k - 2) * n - 2 * k / (k - 2) + fc.weighted(lambda l: (k - l) / (k - 2))
 
 
-@dataclass(frozen=True)
-class ComplexBound:
-    delta: float
-    b_minus: Optional[float]
-    b_plus: Optional[float]
-    feasible: bool
+class ComplexBound(Record):
+    __slots__ = ("delta", "b_minus", "b_plus", "feasible")
+
+    def __init__(self, delta: float, b_minus: float | None, b_plus: float | None, feasible: bool):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "b_minus", b_minus)
+        object.__setattr__(self, "b_plus", b_plus)
+        object.__setattr__(self, "feasible", feasible)
 
 
 def complex_bound(n: int, m: int, fc: FaceCounts) -> ComplexBound:
@@ -276,13 +277,22 @@ def exact_unc_complete(n: int) -> int:
     return (n - 1 + 3) // 4
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    name: str
-    value: float | int | None
-    applicable: bool
-    reason: str | None = None
-    params: dict = field(default_factory=dict)
+class BoundReport(Record):
+    __slots__ = ("name", "value", "applicable", "reason", "params")
+
+    def __init__(
+        self,
+        name: str,
+        value: float | int | None,
+        applicable: bool,
+        reason: str | None = None,
+        params: dict | None = None,  # None: a new empty dict for this report
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "applicable", applicable)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "params", {} if params is None else params)
 
     def to_json_dict(self) -> dict:
         return {

@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bounds import h_upper, root_sum_nonnegative
@@ -23,27 +22,44 @@ from .embedding import RotationSystem, trace_faces
 from .errors import ConstructionIntegrityError, MalformedCertificateError, NotApplicableError
 from .graphs import Edge, Graph, write_json_pairs
 from .oracle import SubdrawingCertificate, all_json_ints, verify_certificate
+from .records import Record
 
 
-@dataclass(frozen=True)
-class ConstructionStats:
-    m: int
-    m_prime: int
-    t: int
-    f: int
-    density: Fraction
+class ConstructionStats(Record):
+    __slots__ = ("m", "m_prime", "t", "f", "density")
+
+    def __init__(self, m: int, m_prime: int, t: int, f: int, density: Fraction):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m_prime", m_prime)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "density", density)
 
 
-@dataclass(frozen=True)
-class ConstructionRecord:
-    epsilon_target: Fraction | None
-    x: int
-    x0: float | None
-    graph: Graph
-    certificate: SubdrawingCertificate
-    coordinates: tuple[tuple[float, float], ...]
-    stack_hosts: tuple[tuple[int, int, int, int], ...]  # (new vertex, a, b, c)
-    stats: ConstructionStats
+class ConstructionRecord(Record):
+    __slots__ = (
+        "epsilon_target", "x", "x0", "graph", "certificate", "coordinates", "stack_hosts", "stats"
+    )
+
+    def __init__(
+        self,
+        epsilon_target: Fraction | None,
+        x: int,
+        x0: float | None,
+        graph: Graph,
+        certificate: SubdrawingCertificate,
+        coordinates: tuple[tuple[float, float], ...],
+        stack_hosts: tuple[tuple[int, int, int, int], ...],  # (new vertex, a, b, c)
+        stats: ConstructionStats,
+    ):
+        object.__setattr__(self, "epsilon_target", epsilon_target)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "coordinates", coordinates)
+        object.__setattr__(self, "stack_hosts", stack_hosts)
+        object.__setattr__(self, "stats", stats)
 
     @property
     def crossed_edges(self) -> tuple[Edge, ...]:
@@ -286,7 +302,7 @@ def build_construction(
         stack_hosts=tuple(hosts),
         stats=ConstructionStats(m, m_prime, t, len(final_faces), Fraction(m, n * n)),
     )
-    return replace(record, coordinates=layout_coordinates(record))
+    return record.replace(coordinates=layout_coordinates(record))
 
 
 def construct(epsilon, n: int) -> ConstructionRecord:

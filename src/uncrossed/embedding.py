@@ -12,10 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import SearchBudgetError
 from .graphs import Edge, Graph
+from .records import Record
 
 Dart = tuple[int, int]
 
@@ -29,33 +29,34 @@ def _rotate_to_min(seq: tuple[int, ...]) -> tuple[int, ...]:
     return seq[i:] + seq[:i]
 
 
-@dataclass(frozen=True)
-class RotationSystem:
+class RotationSystem(Record):
     """Cyclic neighbor orders, one per vertex, canonically rotated.
 
     Orders are stored starting at each vertex's smallest neighbor so that
     equal embeddings compare equal and serialize identically.
     """
 
-    graph: Graph
-    order: tuple[tuple[int, ...], ...]
+    __slots__ = ("graph", "order")
 
-    def __post_init__(self):
-        if len(self.order) != self.graph.n:
+    def __init__(self, graph: Graph, order: tuple[tuple[int, ...], ...]):
+        if len(order) != graph.n:
             raise ValueError("need one cyclic order per vertex")
-        adj = self.graph.adjacency()
+        adj = graph.adjacency()
         normalized = []
-        for v, cyc in enumerate(self.order):
+        for v, cyc in enumerate(order):
             if sorted(cyc) != adj[v]:
                 raise ValueError(f"order at vertex {v} is not a permutation of its neighbors")
             normalized.append(_rotate_to_min(tuple(cyc)))
+        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "order", tuple(normalized))
 
 
-@dataclass(frozen=True)
-class Face:
-    walk: tuple[Dart, ...]
-    vertices: frozenset[int]
+class Face(Record):
+    __slots__ = ("walk", "vertices")
+
+    def __init__(self, walk: tuple[Dart, ...], vertices: frozenset[int]):
+        object.__setattr__(self, "walk", walk)
+        object.__setattr__(self, "vertices", vertices)
 
     def __len__(self) -> int:
         return len(self.walk)

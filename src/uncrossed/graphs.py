@@ -11,9 +11,9 @@ import io
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 
 from .errors import ParseError
+from .records import Record
 
 Edge = tuple[int, int]
 
@@ -28,14 +28,19 @@ def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Immutable simple graph on vertices 0..n-1."""
 
-    n: int
-    edges: tuple[Edge, ...]
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n: int, edges: tuple[Edge, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self):
+        # the edge checks, a method of their own so that perfbench's
+        # tracer can time them on the class as graphs.Graph.validate
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         n = self.n

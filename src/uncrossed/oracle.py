@@ -50,24 +50,29 @@ import json
 import operator
 import re
 import time
-from dataclasses import dataclass
 
 from .embedding import ROTATION_BUDGET_DEFAULT, RotationKernel, RotationSystem, trace_faces
 from .errors import MalformedCertificateError, SearchBudgetError
 from .graphs import SLICE, Edge, Graph, automorphisms, connected_spanning, write_json_pairs
+from .records import Record
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    max_n: int = 8
-    max_rotation_budget: int = ROTATION_BUDGET_DEFAULT
-    time_budget: float | None = None  # seconds
+class SearchLimits(Record):
+    __slots__ = ("max_n", "max_rotation_budget", "time_budget")
 
-    def __post_init__(self):
-        if self.max_n < 1 or self.max_rotation_budget < 1:
+    def __init__(
+        self,
+        max_n: int = 8,
+        max_rotation_budget: int = ROTATION_BUDGET_DEFAULT,
+        time_budget: float | None = None,  # seconds
+    ):
+        if max_n < 1 or max_rotation_budget < 1:
             raise ValueError("limits must be positive")
-        if self.time_budget is not None and not self.time_budget > 0:  # NaN too
+        if time_budget is not None and not time_budget > 0:  # NaN too
             raise ValueError("time budget must be positive")
+        object.__setattr__(self, "max_n", max_n)
+        object.__setattr__(self, "max_rotation_budget", max_rotation_budget)
+        object.__setattr__(self, "time_budget", time_budget)
 
 
 DEFAULT_LIMITS = SearchLimits()
@@ -81,17 +86,26 @@ def all_json_ints(*rows) -> bool:
     return all(type(x) is int for row in rows for x in row)
 
 
-@dataclass(frozen=True)
-class SubdrawingCertificate:
+class SubdrawingCertificate(Record):
     """Machine-checkable witness that h(graph) >= len(uncrossed): a
     rotation system of the uncrossed edges H and a face of it for every
     other edge of the graph.  The face assignment is held in ascending
-    edge order, as every maker here fills it, and its readers take that
-    order as it stands."""
+    edge order, which its readers take as it stands: the constructor
+    sorts an assignment that one linear check finds out of order.  Keys
+    that do not compare with each other are left as they are, for
+    verify_certificate to refuse."""
 
-    graph: Graph
-    rotation: RotationSystem
-    face_assignment: dict[Edge, int]
+    __slots__ = ("graph", "rotation", "face_assignment")
+
+    def __init__(self, graph: Graph, rotation: RotationSystem, face_assignment: dict[Edge, int]):
+        try:
+            if any(map(operator.gt, face_assignment, itertools.islice(face_assignment, 1, None))):
+                face_assignment = dict(sorted(face_assignment.items()))
+        except TypeError:
+            pass
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "face_assignment", face_assignment)
 
     @property
     def uncrossed(self) -> tuple[Edge, ...]:
@@ -146,8 +160,8 @@ class SubdrawingCertificate:
         digits "<u>-<v>"; the keys are read once, key by key, and then
         Graph checks the host's edges, so a key that names an uncrossed
         edge is Graph's duplicate edge.  Anything else raises
-        MalformedCertificateError.  An assignment whose keys are out of
-        ascending edge order is sorted, once."""
+        MalformedCertificateError.  The certificate sorts an assignment
+        whose keys are out of ascending edge order."""
         try:
             n = data["n"]
             pairs = [tuple(e) for e in data["uncrossed"]]
@@ -157,8 +171,6 @@ class SubdrawingCertificate:
             uncrossed = tuple((min(u, v), max(u, v)) for u, v in pairs)
             assignment = _edge_keyed(data["assignment"])
             graph = Graph(n, (*uncrossed, *assignment))
-            if any(map(operator.gt, assignment, itertools.islice(assignment, 1, None))):
-                assignment = dict(sorted(assignment.items()))
             rotation = RotationSystem(Graph(n, uncrossed), orders)
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise MalformedCertificateError(f"bad certificate JSON: {exc}") from exc

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -168,7 +167,7 @@ def test_tightness_sweep_rationals():
 
 def test_tampered_record_fails():
     rec = construct(Fraction(3, 10), 20)
-    bad = replace(rec, stats=replace(rec.stats, m_prime=rec.stats.m_prime + 1))
+    bad = rec.replace(stats=rec.stats.replace(m_prime=rec.stats.m_prime + 1))
     with pytest.raises(ConstructionIntegrityError):
         check_tightness(bad)
 

@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 from corpus_util import small_connected_corpus
 
+from uncrossed.bounds import BoundReport, ComplexBound, FaceCounts
+from uncrossed.construction import ConstructionStats, build_construction
+from uncrossed.embedding import ROTATION_BUDGET_DEFAULT, Face, RotationSystem
 from uncrossed.errors import ParseError
 from uncrossed.graphs import (
     Graph,
@@ -23,6 +29,7 @@ from uncrossed.graphs import (
     parse_edge_list,
     serialize_edge_list,
 )
+from uncrossed.oracle import SearchLimits, exact_h
 
 
 def test_complete_edge_counts():
@@ -216,3 +223,88 @@ def test_graph_rejects_ids_that_are_not_ints(edge):
     # (serialize_edge_list would write "True 2"), or breaks adjacency()
     with pytest.raises(ValueError, match="not an int"):
         Graph(3, ((0, 1), edge))
+
+
+K4_ORDERS = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
+# each factory builds a new record of its class, equal to the last one built
+RECORDS = {
+    "Graph": lambda: Graph(4, ((2, 3), (0, 1), (1, 2))),
+    "RotationSystem": lambda: RotationSystem(make_complete(4), K4_ORDERS),
+    "Face": lambda: Face(((0, 1), (1, 2), (2, 0)), frozenset({0, 1, 2})),
+    "SearchLimits": lambda: SearchLimits(6, 1000, time_budget=2.5),
+    "SubdrawingCertificate": lambda: exact_h(make_complete(5))[1],
+    "ConstructionStats": lambda: ConstructionStats(12, 10, 5, 6, Fraction(12, 36)),
+    "ConstructionRecord": lambda: build_construction(5, 6),
+    "FaceCounts": lambda: FaceCounts(5, (1, 2)),
+    "ComplexBound": lambda: ComplexBound(4.0, 1.0, 3.0, True),
+    "BoundReport": lambda: BoundReport("h_upper", 7, True, params={"n": 5}),
+}
+# a dict among the fields, or in a record among them, leaves a record unhashable
+UNHASHABLE = {"SubdrawingCertificate", "ConstructionRecord", "BoundReport"}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_are_immutable(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    for field in type(record).__slots__:
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) is value
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_equal_records_compare_and_hash_equal(name):
+    a, b = RECORDS[name](), RECORDS[name]()
+    assert a is not b and a == b and not a != b
+    assert repr(a) == repr(b) and repr(a).startswith(f"{name}(")
+    assert a != object() and a != tuple(getattr(a, f) for f in type(a).__slots__)
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    # replace, copy and pickle rebuild an equal record through the constructor
+    assert a.replace() == a and copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+def test_records_differ_by_any_field():
+    a = ComplexBound(4.0, 1.0, 3.0, True)
+    for field, other in zip(ComplexBound.__slots__, (5.0, None, None, False)):
+        changed = a.replace(**{field: other})
+        assert changed != a and getattr(changed, field) == other
+    assert hash(Graph(3, ((0, 1),))) != hash(Graph(3, ((0, 2),)))
+
+
+def test_record_replace_runs_the_checks():
+    assert Graph(3, ((1, 2), (0, 1))).replace(n=4) == Graph(4, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(3, ((0, 1),)).replace(n=1)
+    with pytest.raises(ValueError, match="need s_3..s_5"):
+        FaceCounts(4, (1,)).replace(k=6)
+    with pytest.raises(TypeError):
+        SearchLimits().replace(max_m=3)
+
+
+def test_record_defaults():
+    assert FaceCounts(3) == FaceCounts(3, ()) and FaceCounts(k=3).s == ()
+    limits = SearchLimits()
+    assert (limits.max_n, limits.max_rotation_budget, limits.time_budget) == (
+        8, ROTATION_BUDGET_DEFAULT, None)
+    assert SearchLimits(max_n=6) == SearchLimits(6, ROTATION_BUDGET_DEFAULT, None)
+    report = BoundReport("unc_lower", None, False)
+    assert (report.reason, report.params) == (None, {})
+    assert Graph(n=2, edges=((0, 1),)) == Graph(2, ((0, 1),))
+
+
+def test_bound_reports_do_not_share_params():
+    a = BoundReport("a", None, False)
+    b = BoundReport("b", 1, True, "why")
+    assert a.params is not b.params
+    a.params["k"] = 4
+    assert b.params == {} and BoundReport("c", None, False).params == {}

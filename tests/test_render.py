@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -79,7 +78,7 @@ def test_render_record_matches_item_by_item_reference():
     # at x = -0.0; both are written 0.0000
     rec = build_construction(5, 6)
     coords = ((0.0, 0.0), (-1.0, 1e-5), (1.0, 0.0), (-1.0, -1.2e-5), (-1.0, 0.0), (-1e-5, -0.5))
-    rec = dataclasses.replace(rec, coordinates=coords)
+    rec = rec.replace(coordinates=coords)
     assert (1, 3) in rec.crossed_edges and (2, 4) in rec.crossed_edges
     svg = _svg(render_record, rec)
     assert svg == _reference_record_svg(rec)

@@ -88,8 +88,18 @@ ASSIGNMENTS = st.dictionaries(st.tuples(IDS, IDS), st.integers(min_value=0, max_
 @given(ASSIGNMENTS)
 def test_assignment_written_as_its_dict(assignment):
     # a certificate's assignment is written as the dict of "<u>-<v>" keys,
-    # in the assignment's order, empty or not, however the dict was filled
+    # in ascending edge order, empty or not, however the dict was filled
     assert _matches_dict(_certificate(ASSIGNMENT_IDS, assignment))
+
+
+def test_reversed_assignment_written_ascending():
+    # a certificate built from an assignment in descending edge order
+    # holds it, and writes it, in ascending order
+    edges = [(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)]
+    cert = _certificate(6, {e: i for i, e in enumerate(reversed(edges))})
+    assert list(cert.face_assignment) == edges
+    written = json.loads(_certificate_text(cert, "\n"))["assignment"]
+    assert list(written.items()) == [(f"{u}-{v}", 4 - i) for i, (u, v) in enumerate(edges)]
 
 
 def test_assignment_across_slice_boundaries():
